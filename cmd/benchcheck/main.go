@@ -3,8 +3,9 @@
 // solver regresses. Wall times are machine-dependent and are never gated;
 // the gates run on the deterministic counters:
 //
-//   - effort counters (tokens_delivered, solve_iterations) are one-sided:
-//     the candidate may not exceed the reference by more than -tolerance;
+//   - effort counters (tokens_delivered, solve_iterations, sweep_visited)
+//     are one-sided: the candidate may not exceed the reference by more
+//     than -tolerance;
 //
 //   - structure counters (cycles_collapsed, vars_unified,
 //     redundant_deliveries_skipped, ...) are two-sided: a structure counter
@@ -105,6 +106,7 @@ func checkPlain(ref, got perf.Snapshot) {
 	// Effort: one-sided — doing less work than the reference is fine.
 	gate("tokens_delivered", ref.TokensDelivered, got.TokensDelivered, true)
 	gate("solve_iterations", ref.SolveIterations, got.SolveIterations, true)
+	gate("sweep_visited", ref.SweepVisited, got.SweepVisited, true)
 	// Structure: two-sided — the collapse machinery changing its behavior
 	// in either direction is a semantic drift of the benchmark.
 	gate("cycles_collapsed", ref.CyclesCollapsed, got.CyclesCollapsed, false)
@@ -126,6 +128,7 @@ func checkParallel(ref, got perf.ParallelSnapshot) {
 		w := fmt.Sprintf("[workers=%d] ", rr.SolverWorkers)
 		gate(w+"tokens_delivered", rr.TokensDelivered, gr.TokensDelivered, true)
 		gate(w+"solve_iterations", rr.SolveIterations, gr.SolveIterations, true)
+		gate(w+"sweep_visited", rr.SweepVisited, gr.SweepVisited, true)
 		gate(w+"cycles_collapsed", rr.CyclesCollapsed, gr.CyclesCollapsed, false)
 		gate(w+"redundant_deliveries_skipped", rr.RedundantSkipped, gr.RedundantSkipped, false)
 	}
@@ -145,6 +148,7 @@ func checkParallel(ref, got perf.ParallelSnapshot) {
 		}
 		if r.SolveIterations != first.SolveIterations || r.TokensDelivered != first.TokensDelivered ||
 			r.CyclesCollapsed != first.CyclesCollapsed || r.RedundantSkipped != first.RedundantSkipped ||
+			r.SweepVisited != first.SweepVisited ||
 			r.Epochs != first.Epochs || r.CrossShard != first.CrossShard ||
 			r.AsyncSweeps != first.AsyncSweeps {
 			fmt.Printf("  workers=%d: counters differ from workers=%d — epoch engine is NOT deterministic\n",

@@ -230,18 +230,17 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 
 // dynEntry is one memoized dynamic call-graph build.
 type dynEntry struct {
-	once sync.Once
-	res  *dyncg.Result
-	err  error
+	res *dyncg.Result
+	err error
 }
 
-// dynMemo caches dynamic call graphs per *modules.Project, so an
-// evaluation that needs a project's dynamic graph in several places
-// (RunBenchmark accuracy, RunAblation precision) builds it at most once.
-// Keyed by project pointer: corpus generation returns fresh projects per
-// call, so reuse requires passing the same benchmarks to both runs (as
-// cmd/evaluate does).
-var dynMemo sync.Map
+// dynMemoKey is the modules.Project.Memo key of the project's dynamic call
+// graph. The memo lives on the project, so an evaluation that needs the
+// graph in several places (RunBenchmark accuracy, RunAblation precision)
+// builds it at most once, and the graph is released with the project:
+// corpus generation returns fresh projects per call, so reuse requires
+// passing the same benchmarks to both runs (as cmd/evaluate does).
+type dynMemoKey struct{}
 
 // dynBuilds counts actual dynamic call-graph builds (memo misses).
 var dynBuilds atomic.Int64
@@ -251,17 +250,16 @@ var dynBuilds atomic.Int64
 // per project); all callers in one evaluation pass the same options, so
 // this is only observable when mixing configurations in one process.
 func dynGraph(b *corpus.Benchmark, opts dyncg.Options) (*dyncg.Result, error) {
-	e, _ := dynMemo.LoadOrStore(b.Project, &dynEntry{})
-	ent := e.(*dynEntry)
-	ent.once.Do(func() {
+	ent := b.Project.Memo(dynMemoKey{}, func() any {
 		dynBuilds.Add(1)
 		alloc0 := perf.TotalAllocBytes()
-		ent.res, ent.err = dyncg.Build(b.Project, opts)
-		if ent.err == nil {
-			perf.Global().AddPhase(perf.PhaseDynCG, ent.res.Duration)
+		res, err := dyncg.Build(b.Project, opts)
+		if err == nil {
+			perf.Global().AddPhase(perf.PhaseDynCG, res.Duration)
 			perf.Global().AddPhaseAlloc(perf.PhaseDynCG, perf.TotalAllocBytes()-alloc0)
 		}
-	})
+		return &dynEntry{res, err}
+	}).(*dynEntry)
 	return ent.res, ent.err
 }
 

@@ -55,6 +55,7 @@ func RunMegaBench(nModules int, workers []int) (*perf.ParallelSnapshot, error) {
 			TokensDelivered:  res.TokensDelivered,
 			CyclesCollapsed:  res.Structure.CyclesCollapsed,
 			RedundantSkipped: res.Structure.RedundantSkipped,
+			SweepVisited:     res.Structure.SweepVisited,
 		}
 		if w >= 1 {
 			if ref == nil {
@@ -64,6 +65,7 @@ func RunMegaBench(nModules int, workers []int) (*perf.ParallelSnapshot, error) {
 				row.TokensDelivered != ref.TokensDelivered ||
 				row.CyclesCollapsed != ref.CyclesCollapsed ||
 				row.RedundantSkipped != ref.RedundantSkipped ||
+				row.SweepVisited != ref.SweepVisited ||
 				row.Epochs != ref.Epochs ||
 				row.CrossShard != ref.CrossShard ||
 				row.AsyncSweeps != ref.AsyncSweeps {

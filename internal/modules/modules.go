@@ -48,6 +48,30 @@ type Project struct {
 	// per project. Lazily created; see Parse.
 	parseOnce  sync.Once
 	parseCache *parseCache
+
+	// memo holds artifacts later pipeline stages derive from the project;
+	// see Memo.
+	memo sync.Map
+}
+
+// memoEntry is one Memo slot: built once, then read-only.
+type memoEntry struct {
+	once sync.Once
+	v    any
+}
+
+// Memo returns the value build computes for key, calling build at most
+// once per project and key, also under concurrent callers. The value lives
+// exactly as long as the project, so an artifact several consumers share
+// (the dynamic call graph behind both the accuracy and the ablation
+// tables) is released together with the project that produced it. Keys
+// follow the context.WithValue convention: an unexported type of the
+// calling package.
+func (p *Project) Memo(key any, build func() any) any {
+	e, _ := p.memo.LoadOrStore(key, &memoEntry{})
+	ent := e.(*memoEntry)
+	ent.once.Do(func() { ent.v = build() })
+	return ent.v
 }
 
 // ErrNoSource reports a path with neither a project file nor a built-in

@@ -30,6 +30,7 @@ type ParallelRow struct {
 	TokensDelivered  int64 `json:"tokens_delivered"`
 	CyclesCollapsed  int64 `json:"cycles_collapsed,omitempty"`
 	RedundantSkipped int64 `json:"redundant_deliveries_skipped,omitempty"`
+	SweepVisited     int64 `json:"sweep_visited,omitempty"`
 }
 
 // ParallelSnapshot is BENCH_parallel.json: solver-phase scaling on the
@@ -80,12 +81,12 @@ func (s ParallelSnapshot) WriteJSON(w io.Writer) error {
 // Render writes a human-readable scaling table.
 func (s ParallelSnapshot) Render(w io.Writer) {
 	fmt.Fprintf(w, "mega tier:          %d modules (GOMAXPROCS %d)\n", s.MegaModules, s.MaxProcs)
-	fmt.Fprintf(w, "%-8s %12s %10s %10s %10s %8s %8s %12s %7s\n",
-		"workers", "solve ms", "scan ms", "apply ms", "tail ms", "epochs", "steals", "cross-shard", "sweeps")
+	fmt.Fprintf(w, "%-8s %12s %10s %10s %10s %8s %8s %12s %7s %12s\n",
+		"workers", "solve ms", "scan ms", "apply ms", "tail ms", "epochs", "steals", "cross-shard", "sweeps", "swept")
 	for _, r := range s.Rows {
-		fmt.Fprintf(w, "%-8d %12.1f %10.1f %10.1f %10.1f %8d %8d %12d %7d\n",
+		fmt.Fprintf(w, "%-8d %12.1f %10.1f %10.1f %10.1f %8d %8d %12d %7d %12d\n",
 			r.SolverWorkers, r.SolveWallMS, r.ScanMS, r.ApplyMS, r.SerialTailMS,
-			r.Epochs, r.Steals, r.CrossShard, r.AsyncSweeps)
+			r.Epochs, r.Steals, r.CrossShard, r.AsyncSweeps, r.SweepVisited)
 	}
 	if s.SpeedupAt4 > 0 {
 		fmt.Fprintf(w, "speedup at 4:       %.2fx\n", s.SpeedupAt4)

@@ -70,12 +70,14 @@ type Counters struct {
 	// variables absorbed into representatives (including offline copy
 	// substitution, also reported on its own), edges dropped as duplicate
 	// or self under condensation, and deliveries short-circuited because
-	// the representative had already processed the token.
+	// the representative had already processed the token; plus the
+	// variables and edges the SCC sweeps traversed to find the cycles.
 	cyclesCollapsed   atomic.Int64
 	varsUnified       atomic.Int64
 	copiesSubstituted atomic.Int64
 	edgesDeduped      atomic.Int64
 	redundantSkipped  atomic.Int64
+	sweepVisited      atomic.Int64
 
 	// Parallel-solver activity (zero when the sequential engine ran):
 	// epochs crossed, chunks stolen across workers, deliveries whose target
@@ -147,13 +149,15 @@ func (c *Counters) AddIncrementalSolve(baseIters, baseTokens, deltaIters, deltaT
 
 // AddSolveStructure accrues one solver's cycle-collapse activity: collapse
 // events, variables unified (and, of those, variables removed by offline
-// copy substitution), edges deduplicated, and redundant deliveries skipped.
-func (c *Counters) AddSolveStructure(cycles, unified, substituted, deduped, skipped int64) {
+// copy substitution), edges deduplicated, redundant deliveries skipped, and
+// variables plus edges traversed by SCC sweeps.
+func (c *Counters) AddSolveStructure(cycles, unified, substituted, deduped, skipped, swept int64) {
 	c.cyclesCollapsed.Add(cycles)
 	c.varsUnified.Add(unified)
 	c.copiesSubstituted.Add(substituted)
 	c.edgesDeduped.Add(deduped)
 	c.redundantSkipped.Add(skipped)
+	c.sweepVisited.Add(swept)
 }
 
 // AddSolverParallel accrues one parallel-solver run: epochs crossed,
@@ -230,6 +234,7 @@ func (c *Counters) Reset() {
 	c.copiesSubstituted.Store(0)
 	c.edgesDeduped.Store(0)
 	c.redundantSkipped.Store(0)
+	c.sweepVisited.Store(0)
 	c.solverEpochs.Store(0)
 	c.solverSteals.Store(0)
 	c.solverCrossShard.Store(0)
@@ -275,6 +280,9 @@ type Snapshot struct {
 	CopiesSubstituted int64 `json:"copies_substituted,omitempty"`
 	EdgesDeduped      int64 `json:"edges_deduped,omitempty"`
 	RedundantSkipped  int64 `json:"redundant_deliveries_skipped,omitempty"`
+	// SweepVisited is the variables plus edges SCC sweeps traversed
+	// (deterministic, identical at every solver-worker count).
+	SweepVisited int64 `json:"sweep_visited,omitempty"`
 
 	// Parallel-solver activity (zero when the sequential engine ran).
 	// SolverEpochs, SolverCrossShard, and SolverAsyncSweeps are
@@ -319,6 +327,7 @@ func (c *Counters) Snapshot() Snapshot {
 		CopiesSubstituted:    c.copiesSubstituted.Load(),
 		EdgesDeduped:         c.edgesDeduped.Load(),
 		RedundantSkipped:     c.redundantSkipped.Load(),
+		SweepVisited:         c.sweepVisited.Load(),
 		SolverEpochs:         c.solverEpochs.Load(),
 		SolverSteals:         c.solverSteals.Load(),
 		SolverCrossShard:     c.solverCrossShard.Load(),
@@ -383,6 +392,9 @@ func (s Snapshot) Render(w io.Writer) {
 	if s.VarsUnified+s.EdgesDeduped+s.RedundantSkipped > 0 {
 		fmt.Fprintf(w, "cycle collapse:     %d cycles, %d vars unified (%d by copy substitution), %d edges deduped, %d redundant deliveries skipped\n",
 			s.CyclesCollapsed, s.VarsUnified, s.CopiesSubstituted, s.EdgesDeduped, s.RedundantSkipped)
+	}
+	if s.SweepVisited > 0 {
+		fmt.Fprintf(w, "cycle sweeps:       %d vars+edges visited\n", s.SweepVisited)
 	}
 	if s.SolverEpochs > 0 {
 		fmt.Fprintf(w, "parallel solver:    %d epochs, %d steals, %d cross-shard deliveries, %d async sweeps, scan %.1f ms / apply %.1f ms / tail %.1f ms (sweep overlap %.1f ms)\n",

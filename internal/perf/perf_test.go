@@ -160,3 +160,29 @@ func TestFaultCounters(t *testing.T) {
 		t.Errorf("fault-free Render still prints the fault line:\n%s", out.String())
 	}
 }
+
+func TestSweepVisitedCounter(t *testing.T) {
+	var c Counters
+	c.AddSolveStructure(1, 2, 0, 3, 4, 500)
+	c.AddSolveStructure(0, 0, 0, 0, 0, 25)
+	s := c.Snapshot()
+	if s.SweepVisited != 525 {
+		t.Fatalf("SweepVisited = %d, want 525", s.SweepVisited)
+	}
+	var buf bytes.Buffer
+	if err := s.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"sweep_visited": 525`) {
+		t.Errorf("JSON lacks sweep_visited:\n%s", buf.String())
+	}
+	var out strings.Builder
+	s.Render(&out)
+	if !strings.Contains(out.String(), "cycle sweeps:       525 vars+edges visited") {
+		t.Errorf("render lacks the sweep line:\n%s", out.String())
+	}
+	c.Reset()
+	if got := c.Snapshot().SweepVisited; got != 0 {
+		t.Errorf("Reset left SweepVisited = %d", got)
+	}
+}

@@ -439,7 +439,7 @@ func Analyze(project *modules.Project, opts Options) (*Result, error) {
 	perf.Global().AddSolve(iters, delivered)
 	ss := a.s.structure()
 	perf.Global().AddSolveStructure(ss.CyclesCollapsed, ss.VarsUnified,
-		ss.CopiesSubstituted, ss.EdgesDeduped, ss.RedundantSkipped)
+		ss.CopiesSubstituted, ss.EdgesDeduped, ss.RedundantSkipped, ss.SweepVisited)
 	pstats := a.recordParallelStats()
 
 	res := &Result{

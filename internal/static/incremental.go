@@ -232,7 +232,7 @@ func analyzeBothArms(project *modules.Project, opts Options, withAblation bool) 
 	perf.Global().AddSolve(finalIters, finalDelivered)
 	ss := a.s.structure()
 	perf.Global().AddSolveStructure(ss.CyclesCollapsed, ss.VarsUnified,
-		ss.CopiesSubstituted, ss.EdgesDeduped, ss.RedundantSkipped)
+		ss.CopiesSubstituted, ss.EdgesDeduped, ss.RedundantSkipped, ss.SweepVisited)
 	a.recordParallelStats()
 	return baseline, extended, ablation, nil
 }

@@ -46,10 +46,12 @@ package static
 // Batched Tarjan cycle sweeps run concurrently with the parallel phases: a
 // sweep is launched between epochs (at the same deterministic points the
 // sequential engine would run collapseAllSCCs) as a read-only traversal of
-// the epoch-frozen edge/parent state on its own goroutine, joined at the
-// start of the serial tail (before triggers mutate edge lists), and its
+// the epoch-frozen edge/parent state on its own goroutine, rooted at the
+// edges added since the previous sweep (see solver.sweepRoots), joined at
+// the start of the serial tail (before triggers mutate edge lists), and its
 // components are collapsed at the next between-epoch point — edges only get
-// added in the interim, so a snapshot SCC is still an SCC when it lands.
+// added in the interim, so a snapshot SCC is still an SCC when it lands,
+// and the interim edges are the next sweep's roots.
 //
 // Exactness: the constraint system is monotone, so its least fixpoint is
 // independent of delivery order — the same argument that makes the
@@ -410,6 +412,7 @@ type parallelEngine struct {
 	sweepLive      bool
 	sweepDone      bool
 	sweepComps     [][]Var
+	sweepVisited   int64
 	sweepJoin      chan struct{}
 	sweepComputeNS int64
 	sweepScratch   sweepScratch
@@ -465,6 +468,7 @@ func (s *solver) solveParallel() {
 			// unreconciled), so each snapshot SCC is still an SCC and its
 			// members are still representatives.
 			p.sweepDone = false
+			s.sweepVisited += p.sweepVisited
 			if len(p.sweepComps) > 0 {
 				p.materializePushes(s)
 				for _, comp := range p.sweepComps {
@@ -490,18 +494,19 @@ func (s *solver) solveParallel() {
 			// invalidate them, and they stay parallel scan work.
 			periodic := s.iterations >= s.nextSweep
 			if periodic || len(s.lcdPending) >= lcdSweepBatch {
-				// Batched resolution: a whole-graph Tarjan sweep subsumes the
-				// per-pair searches (see runLCD). With a large frontier queued
-				// it runs concurrently with the next epoch's parallel phases
-				// instead of on the critical path — the evidence is consumed
-				// now (the pairs are already in lcdChecked) and the components
-				// land after the next tail; with a small frontier it runs
-				// synchronously, like the sequential engine's sweep.
+				// Batched resolution: an SCC sweep from the changed edges
+				// subsumes the per-pair searches (see runLCD). With a large
+				// frontier queued it runs concurrently with the next epoch's
+				// parallel phases instead of on the critical path — the
+				// evidence is consumed now (the pairs are already in
+				// lcdChecked) and the components land after the next tail;
+				// with a small frontier it runs synchronously, like the
+				// sequential engine's sweep.
 				s.lcdPending = s.lcdPending[:0]
 				if periodic {
 					s.nextSweep = s.iterations + s.sweepInterval()
 				}
-				if s.sccDirty {
+				if len(s.sweepRoots) > 0 {
 					if len(s.queue)-s.head >= asyncSweepMinFrontier {
 						p.launchSweep(s)
 					} else {
@@ -531,18 +536,19 @@ func (s *solver) solveParallel() {
 // (epoch-frozen) edge and parent state. The traversal is strictly read-only
 // (findRO, dedicated scratch) and overlaps the next epoch's partition,
 // scan, winnow, and apply phases, none of which mutate edges or the parent
-// forest; the tail joins it before triggers run. sccDirty is consumed here:
-// edges added while the sweep runs re-dirty the flag, so the next periodic
-// round sees exactly the post-snapshot additions.
+// forest; the tail joins it before triggers run. The worker takes the
+// current sweep roots; edges added while it runs start a fresh list, which
+// the next sweep consumes.
 func (p *parallelEngine) launchSweep(s *solver) {
 	p.stats.AsyncSweeps++
-	s.sccDirty = false
+	roots := s.sweepRoots
+	s.sweepRoots = nil
 	p.sweepLive = true
 	p.sweepJoin = make(chan struct{})
 	n := s.nVars
 	go func() {
 		t0 := time.Now()
-		p.sweepComps = sccComponents(s, n, &p.sweepScratch)
+		p.sweepComps, p.sweepVisited = s.sccFromRoots(roots, n, &p.sweepScratch)
 		p.sweepComputeNS = time.Since(t0).Nanoseconds()
 		close(p.sweepJoin)
 	}()
@@ -562,99 +568,6 @@ func (p *parallelEngine) joinSweep(s *solver) {
 	}
 	p.sweepLive = false
 	p.sweepDone = true
-}
-
-// sccComponents is the read-only core of collapseAllSCCs: an iterative
-// Tarjan pass over the condensed graph restricted to the first n variables,
-// returning the multi-member components in discovery order without
-// collapsing anything. It resolves edges through findRO (no path
-// compression) so it can run concurrently with phases that read the parent
-// forest.
-func sccComponents(s *solver, n int, sw *sweepScratch) [][]Var {
-	if n == 0 {
-		return nil
-	}
-	if cap(sw.index) < n {
-		sw.index = make([]int32, n)
-		sw.lowlink = make([]int32, n)
-		sw.onStack = make([]bool, n)
-	}
-	sw.index = sw.index[:n]
-	sw.lowlink = sw.lowlink[:n]
-	sw.onStack = sw.onStack[:n]
-	for i := range sw.index {
-		sw.index[i] = 0
-		sw.onStack[i] = false
-	}
-	sw.stack = sw.stack[:0]
-	var comps [][]Var
-	var next int32 = 1
-
-	for root := 0; root < n; root++ {
-		rv := Var(root)
-		if s.parent[rv] != rv || sw.index[root] != 0 {
-			continue
-		}
-		sw.frames = append(sw.frames[:0], sweepFrame{v: rv})
-		for len(sw.frames) > 0 {
-			f := &sw.frames[len(sw.frames)-1]
-			v := f.v
-			if f.edge == 0 {
-				sw.index[v] = next
-				sw.lowlink[v] = next
-				next++
-				sw.stack = append(sw.stack, v)
-				sw.onStack[v] = true
-			}
-			st := s.state(v)
-			advanced := false
-			for f.edge < len(st.edges) {
-				w := s.findRO(st.edges[f.edge])
-				f.edge++
-				if w == v {
-					continue
-				}
-				if sw.index[w] == 0 {
-					sw.frames = append(sw.frames, sweepFrame{v: w})
-					advanced = true
-					break
-				}
-				if sw.onStack[w] && sw.index[w] < sw.lowlink[v] {
-					sw.lowlink[v] = sw.index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			// v is finished.
-			if sw.lowlink[v] == sw.index[v] {
-				// Pop the component.
-				var comp []Var
-				for {
-					w := sw.stack[len(sw.stack)-1]
-					sw.stack = sw.stack[:len(sw.stack)-1]
-					sw.onStack[w] = false
-					if comp != nil || w != v {
-						comp = append(comp, w)
-					}
-					if w == v {
-						break
-					}
-				}
-				if comp != nil {
-					comps = append(comps, comp)
-				}
-			}
-			sw.frames = sw.frames[:len(sw.frames)-1]
-			if len(sw.frames) > 0 {
-				pf := &sw.frames[len(sw.frames)-1]
-				if sw.lowlink[v] < sw.lowlink[pf.v] {
-					sw.lowlink[pf.v] = sw.lowlink[v]
-				}
-			}
-		}
-	}
-	return comps
 }
 
 // partition drains the delivery queue — all of it, or at most budget

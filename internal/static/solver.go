@@ -45,26 +45,25 @@ const queueCompactMin = 1024
 // SCC sweep.
 const lcdSearchBudget = 2048
 
-// sccSweepInterval is the number of fixpoint iterations between full
-// Pearce/Nuutila-style SCC sweeps over the condensed constraint graph.
-// Sweeps are O(V+E) and catch the cycles lazy detection misses (cycles
-// whose redundant deliveries happened before the closing edge existed, and
-// ones beyond lcdSearchBudget). The interval is small because cycles in
-// this analysis form late — call-processing triggers add the closing edges
-// mid-solve — and a cycle only pays off while propagation through it is
-// still happening: per-module solves run a few thousand iterations total,
-// so an interval in the tens of thousands would never fire. Graphs large
-// enough that a full pass every 1024 iterations would itself dominate the
-// solve use the size-scaled interval from sweepInterval instead.
+// sccSweepInterval is the number of fixpoint iterations between periodic
+// SCC sweeps. Sweeps catch the cycles lazy detection misses (cycles whose
+// redundant deliveries happened before the closing edge existed, and ones
+// beyond lcdSearchBudget). A sweep only traverses what is reachable from
+// the edges added since the previous one (see sweepRoots), so its cost
+// follows the change in the graph, not its size. The interval is small
+// because cycles in this analysis form late — call-processing triggers add
+// the closing edges mid-solve — and a cycle only pays off while propagation
+// through it is still happening: per-module solves run a few thousand
+// iterations total, so an interval in the tens of thousands would never
+// fire. Larger graphs use the size-scaled interval from sweepInterval.
 const sccSweepInterval = 1024
 
 // sweepInterval is the iteration gap between periodic SCC sweeps: the
 // fixed sccSweepInterval for corpus-sized graphs (nVars/4 does not exceed
 // 1024 until ~4k variables, so every corpus project keeps the exact
-// historical cadence), scaled linearly with graph size beyond that so the
-// O(V+E) pass stays a bounded fraction of solve time on mega-scale
-// projects. The sequential and epoch engines share this policy, so their
-// sweep cadences agree.
+// historical cadence), scaled linearly with graph size beyond that. The
+// sequential and epoch engines share this policy, so their sweep cadences
+// agree.
 func (s *solver) sweepInterval() int64 {
 	if v := int64(s.nVars) / 4; v > sccSweepInterval {
 		return v
@@ -99,8 +98,8 @@ const (
 //     v; the first redundant delivery per (v,w) pair triggers a bounded
 //     reachability search and collapses the cycle it finds;
 //   - periodically: every sccSweepInterval iterations (and at every solve
-//     entry) a full Tarjan sweep over the condensed graph collapses the
-//     SCCs lazy detection missed.
+//     entry) a Tarjan sweep rooted at the sources of the edges added since
+//     the previous sweep collapses the SCCs lazy detection missed.
 //
 // All merging happens between queue pops, never inside one, so edge and
 // trigger iteration state is never invalidated mid-delivery.
@@ -144,14 +143,16 @@ type solver struct {
 	// nextSweep is the iteration count at which the next periodic SCC
 	// sweep runs.
 	nextSweep int64
-	// sccDirty records whether any constraint edge was added since the
-	// last full SCC sweep. A sweep leaves the representative graph
-	// acyclic, and only new edges can close new cycles, so a sweep over a
-	// clean graph is a guaranteed no-op — collapseAllSCCs skips it. This
-	// is exact (identical collapse counters), not a heuristic, and it is
-	// what keeps the O(V+E) periodic sweep off the solver's critical path
-	// on large projects whose propagation phase adds no edges.
-	sccDirty bool
+	// sweepRoots lists the representative sources of the edges added since
+	// the last SCC sweep, plus the winners of the collapses since then. A
+	// sweep and its collapses leave the representative graph acyclic, so
+	// every later cycle contains one of those edges or representatives, and
+	// a Tarjan run from this list reaches all of its members: a sweep rooted
+	// here finds exactly the components a whole-graph sweep would, and an
+	// empty list means there is nothing to collapse. Duplicates are
+	// harmless (visited roots are skipped). Nothing is recorded in noUnify
+	// mode, which never sweeps.
+	sweepRoots []Var
 	// par, when non-nil, routes solve through the sharded epoch engine
 	// (parallel.go). The exact no-unify mode (rollback windows, the
 	// reference engine) always takes the sequential pop loop: rollback
@@ -161,6 +162,9 @@ type solver struct {
 	// Reusable sweep scratch (Tarjan index/lowlink/stacks), kept across
 	// sweeps to avoid re-allocating O(nVars) arrays every interval.
 	sweep sweepScratch
+	// sweepHook, when non-nil, sees the components of every sweep as the
+	// finder returns them, on the goroutine that ran it (tests only).
+	sweepHook func(roots []Var, n int, comps [][]Var)
 	// Reusable pathBetween scratch (see lcdPathScratch).
 	lcdPath lcdPathScratch
 
@@ -174,6 +178,7 @@ type solver struct {
 	edgesDeduped      int64 // edges dropped as self or duplicate under condensation
 	redundantSkipped  int64 // deliveries short-circuited (token already processed by the representative, or self-edge after condensation)
 	copiesSubstituted int64 // variables removed by offline copy substitution (subset of varsUnified)
+	sweepVisited      int64 // variables plus edges traversed by SCC sweeps
 }
 
 type varState struct {
@@ -359,7 +364,7 @@ func (s *solver) addEdge(from, to Var) {
 		return
 	}
 	st.appendEdge(to)
-	s.sccDirty = true
+	s.noteSweepRoot(from)
 	if s.par != nil && s.par.deferPush && st.delivered > 0 {
 		// Inside a parallel barrier the prefix push is deferred into a scan
 		// task of the next epoch, so its membership checks run on the
@@ -522,17 +527,17 @@ func (s *solver) noteLCD(from, to Var) {
 }
 
 // lcdSweepBatch is the pending-candidate count past which runLCD abandons
-// per-pair searches for one full Tarjan sweep: each search may visit up to
-// lcdSearchBudget nodes, so a large batch costs more than the linear sweep
-// that collapses every cycle (including ones the bounded searches would
-// miss) in a single pass.
+// per-pair searches for one SCC sweep: each search may visit up to
+// lcdSearchBudget nodes, so a large batch costs more than the sweep from
+// the changed edges, which collapses every cycle (including ones the
+// bounded searches would miss) in a single pass.
 const lcdSweepBatch = 32
 
 // runLCD processes pending cycle candidates. For a candidate edge v→w, a
 // cycle exists iff w reaches v; the bounded search returns the discovered
 // path w…v, which together with the v→w edge forms the cycle to collapse.
-// Batches past lcdSweepBatch are resolved by a whole-graph SCC sweep
-// instead — strictly more collapsing for strictly less work.
+// Batches past lcdSweepBatch are resolved by an SCC sweep instead —
+// strictly more collapsing for strictly less work.
 func (s *solver) runLCD() {
 	pending := s.lcdPending
 	s.lcdPending = s.lcdPending[:0]
@@ -624,10 +629,10 @@ func (s *solver) collapse(members []Var) {
 	}
 	s.cyclesCollapsed++
 	// Contraction can close new representative-level cycles when the group
-	// is not itself an SCC (preUnify's set-equal classes, copy chains), so
-	// the clean-graph sweep skip must be invalidated. collapseAllSCCs
-	// clears the flag again after its own collapses.
-	s.sccDirty = true
+	// is not itself an SCC (preUnify's set-equal classes, copy chains), and
+	// every such cycle runs through the winner, so the next sweep starts
+	// there too. collapseAllSCCs drops the roots its own collapses add.
+	s.noteSweepRoot(winner)
 	// Point every member at the winner first, so intra-group edges resolve
 	// to self (and are dropped) while the contents merge. The protected flag
 	// is sticky: if any member could be targeted by later constraints, so can
@@ -776,14 +781,27 @@ func (s *solver) compactEdges(r Var) {
 	}
 }
 
-// sweepScratch holds the reusable state of the periodic SCC sweep.
+// noteSweepRoot records v as a root of the next SCC sweep.
+func (s *solver) noteSweepRoot(v Var) {
+	if s.noUnify {
+		return
+	}
+	if n := len(s.sweepRoots); n > 0 && s.sweepRoots[n-1] == v {
+		return // consecutive edges from one source: one root suffices
+	}
+	s.sweepRoots = append(s.sweepRoots, v)
+}
+
+// sweepScratch holds the reusable state of an SCC sweep. Between sweeps
+// every index entry is zero and every onStack entry false: a sweep resets
+// only the entries it visited, so its cost never includes the whole graph.
 type sweepScratch struct {
 	index   []int32
 	lowlink []int32
 	onStack []bool
 	stack   []Var
+	visited []Var
 	frames  []sweepFrame
-	comps   [][]Var
 }
 
 type sweepFrame struct {
@@ -791,38 +809,30 @@ type sweepFrame struct {
 	edge int
 }
 
-// collapseAllSCCs runs an iterative Tarjan SCC pass over the condensed
-// graph and unifies every multi-member component. This is the backstop for
-// cycles lazy detection misses: ones closed by edges added after their
-// redundant deliveries happened, and ones beyond the LCD search budget.
-func (s *solver) collapseAllSCCs() {
-	n := s.nVars
-	if n == 0 || !s.sccDirty {
-		// Clean graph: the previous sweep left the representative graph
-		// acyclic and no edge has been added since, so there is nothing a
-		// Tarjan pass could collapse.
-		return
-	}
-	sw := &s.sweep
-	if cap(sw.index) < n {
-		sw.index = make([]int32, n)
-		sw.lowlink = make([]int32, n)
-		sw.onStack = make([]bool, n)
-	}
-	sw.index = sw.index[:n]
-	sw.lowlink = sw.lowlink[:n]
-	sw.onStack = sw.onStack[:n]
-	for i := range sw.index {
-		sw.index[i] = 0
-		sw.onStack[i] = false
+// sccFromRoots is an iterative Tarjan pass over the condensed graph,
+// started from each of roots in turn (resolved to its representative;
+// visited ones are skipped); n is the variable count when the sweep starts,
+// which bounds every id it can meet. It returns the multi-member
+// components it finds, in discovery order, and the number of variables
+// plus edges it traversed, without collapsing anything. Edges
+// resolve through findRO (no path compression), so it can run on the
+// concurrent sweep worker while other phases read the parent forest.
+func (s *solver) sccFromRoots(roots []Var, n int, sw *sweepScratch) (comps [][]Var, visited int64) {
+	if len(sw.index) < n {
+		m := 2 * len(sw.index)
+		if m < n {
+			m = n
+		}
+		sw.index = make([]int32, m)
+		sw.lowlink = make([]int32, m)
+		sw.onStack = make([]bool, m)
 	}
 	sw.stack = sw.stack[:0]
-	sw.comps = sw.comps[:0]
+	sw.visited = sw.visited[:0]
 	var next int32 = 1
-
-	for root := 0; root < n; root++ {
-		rv := Var(root)
-		if s.parent[rv] != rv || sw.index[root] != 0 {
+	for _, root := range roots {
+		rv := s.findRO(root)
+		if sw.index[rv] != 0 {
 			continue
 		}
 		sw.frames = append(sw.frames[:0], sweepFrame{v: rv})
@@ -835,12 +845,14 @@ func (s *solver) collapseAllSCCs() {
 				next++
 				sw.stack = append(sw.stack, v)
 				sw.onStack[v] = true
+				sw.visited = append(sw.visited, v)
 			}
 			st := s.state(v)
 			advanced := false
 			for f.edge < len(st.edges) {
-				w := s.find(st.edges[f.edge])
+				w := s.findRO(st.edges[f.edge])
 				f.edge++
+				visited++
 				if w == v {
 					continue
 				}
@@ -872,7 +884,7 @@ func (s *solver) collapseAllSCCs() {
 					}
 				}
 				if comp != nil {
-					sw.comps = append(sw.comps, comp)
+					comps = append(comps, comp)
 				}
 			}
 			sw.frames = sw.frames[:len(sw.frames)-1]
@@ -884,16 +896,37 @@ func (s *solver) collapseAllSCCs() {
 			}
 		}
 	}
+	for _, v := range sw.visited {
+		sw.index[v] = 0
+	}
+	visited += int64(len(sw.visited))
+	if s.sweepHook != nil {
+		s.sweepHook(roots, n, comps)
+	}
+	return comps, visited
+}
+
+// collapseAllSCCs finds the SCCs reachable from the sweep roots and unifies
+// every multi-member component. This is the backstop for cycles lazy
+// detection misses: ones closed by edges added after their redundant
+// deliveries happened, and ones beyond the LCD search budget.
+func (s *solver) collapseAllSCCs() {
+	if len(s.sweepRoots) == 0 {
+		// No edge added and no collapse since the previous sweep left the
+		// representative graph acyclic: nothing to find.
+		return
+	}
+	comps, visited := s.sccFromRoots(s.sweepRoots, s.nVars, &s.sweep)
+	s.sweepVisited += visited
 	// Collapse after the sweep so the traversal never sees a half-merged
 	// graph. Components are disjoint, so order does not matter for
 	// correctness; iteration order is deterministic (discovery order).
-	for _, comp := range sw.comps {
+	for _, comp := range comps {
 		s.collapse(comp)
 	}
-	// The representative graph is acyclic now; the next sweep can be
-	// skipped until an edge addition dirties it again. Cleared after the
-	// collapses, whose merge-time edge moves stay within this pass.
-	s.sccDirty = false
+	// Contracting every SCC leaves the representative graph acyclic, so the
+	// winners these collapses recorded need no sweep of their own.
+	s.sweepRoots = s.sweepRoots[:0]
 }
 
 // preUnify unifies the given variable groups before (or during) a solve.
@@ -1095,6 +1128,7 @@ type rollbackPoint struct {
 // append-only (no-unify) window that makes rollbackTo possible.
 func (s *solver) rollbackPoint() *rollbackPoint {
 	s.noUnify = true
+	s.sweepRoots = nil // no sweep runs again
 	rp := &rollbackPoint{
 		nVars:      s.nVars,
 		tokensLen:  make([]int32, s.nVars),
@@ -1193,6 +1227,10 @@ type StructureStats struct {
 	EdgesDeduped      int64
 	RedundantSkipped  int64
 	CopiesSubstituted int64
+	// SweepVisited counts the variables plus edges SCC sweeps traversed:
+	// the deterministic cost of cycle sweeping, identical at every
+	// solver-worker count.
+	SweepVisited int64
 }
 
 // structure reports the cycle-collapse counters so far.
@@ -1203,6 +1241,7 @@ func (s *solver) structure() StructureStats {
 		EdgesDeduped:      s.edgesDeduped,
 		RedundantSkipped:  s.redundantSkipped,
 		CopiesSubstituted: s.copiesSubstituted,
+		SweepVisited:      s.sweepVisited,
 	}
 }
 
