@@ -83,9 +83,9 @@ type Counters struct {
 	// epochs crossed, chunks stolen across workers, deliveries whose target
 	// landed in a different shard than the source, concurrent Tarjan sweeps
 	// launched, and the wall time split between the pipeline phases — the
-	// read-only scan+winnow, the shard-owned parallel apply pass, and the
-	// serial reconciliation tail — plus the sweep compute time hidden
-	// behind the parallel phases.
+	// scan+winnow (the winnow inserts the winners), the shard-owned
+	// parallel apply pass, and the serial reconciliation tail — plus the
+	// sweep compute time hidden behind the parallel phases.
 	solverEpochs         atomic.Int64
 	solverSteals         atomic.Int64
 	solverCrossShard     atomic.Int64

@@ -15,21 +15,23 @@ package static
 //     round-robin over per-worker Chase-Lev deques; an idle worker steals
 //     from the top of a victim's deque while owners pop from the bottom.
 //
-//   - a winnow phase (parallel, partitioned by destination shard) that
-//     resolves same-epoch duplicate proposals to exactly one winner per
-//     (destination, token) pair and pre-filters lazy-cycle-detection pairs.
+//   - a winnow phase (parallel, partitioned by destination shard): the
+//     worker that owns a destination's shard walks the proposals in replay
+//     order and inserts each token straight into the destination's set. The
+//     first proposal of a (destination, token) pair finds the token absent
+//     and wins; later ones find it present and are duplicates, which only
+//     pre-filter lazy-cycle-detection pairs.
 //
 //   - a shard-owned apply pass (parallel, partitioned by variable shard):
-//     each worker walks every chunk in the fixed barrier order and performs
-//     the mutations it owns — winning token inserts into destinations of its
-//     shards, and source-side bookkeeping (liveness, processed-prefix swaps,
-//     delivered advance, effort accounting into per-worker accumulators) for
-//     frontier deliveries of its shards. A variable's shard is the same
-//     whether it acts as a source or a destination, so all mutation of one
-//     varState stays on one worker, in the same relative order the serial
-//     barrier would have used. Cross-shard effects are not applied here:
-//     queue scheduling, cycle evidence, and trigger firing are deferred to
-//     the tail.
+//     each worker walks the frontier chunks of its shards in the fixed
+//     barrier order and performs the source-side bookkeeping (liveness,
+//     processed-prefix advance, effort accounting into per-worker
+//     accumulators). A variable's shard is the same whether it acts as a
+//     source or a destination, so all mutation of one varState in one phase
+//     stays on one worker, in the same relative order the serial barrier
+//     would have used. Cross-shard effects are not applied here: queue
+//     scheduling, cycle evidence, and trigger firing are deferred to the
+//     tail.
 //
 //   - a short serial tail on the solver goroutine that replays the epoch in
 //     the fixed order (shards ascending, per-shard sequence order): winning
@@ -144,7 +146,7 @@ type ParallelSolveStats struct {
 	Epochs int64
 	// Steals counts chunks an idle worker took from another worker's deque.
 	Steals int64
-	// CrossShard counts applied proposals whose destination variable lives
+	// CrossShard counts winning proposals whose destination variable lives
 	// in a different shard than the delivery that produced them — the
 	// cross-shard edge traffic the steal deques exist to balance.
 	CrossShard int64
@@ -152,8 +154,9 @@ type ParallelSolveStats struct {
 	// the parallel phases. The launch policy reads only deterministic solver
 	// state, so the count is identical at every worker count.
 	AsyncSweeps int64
-	// ScanNS covers the parallelizable read-only phases (scan + winnow);
-	// ApplyNS the parallel shard-owned apply pass; TailNS the serial tail
+	// ScanNS covers the read-only scan and the winnow, which performs the
+	// winning inserts; ApplyNS the parallel shard-owned apply pass (source
+	// bookkeeping); TailNS the serial tail
 	// (sweep join wait, log replay, trigger firing). SweepOverlapNS is the
 	// portion of concurrent-sweep compute time hidden behind the parallel
 	// phases rather than paid as tail join wait.
@@ -235,12 +238,6 @@ type chunkOut struct {
 	ends    []int32
 	edgeCnt []int32
 	selfCnt []int32
-	// idx caches each delivery token's position in its variable's token
-	// array at scan time, saving the apply pass a membership lookup. Earlier
-	// apply-pass processing of the same variable (same owner, earlier in the
-	// fixed order) can move the token via merge swaps, so the apply pass
-	// validates tokens[idx] == t before trusting it.
-	idx []int32
 	// trig freezes each delivery's trigger count at scan time. The tail
 	// fires exactly triggers[0:trig[i]]: anything registered later was
 	// registered during this tail, after every delivery of the epoch
@@ -264,10 +261,9 @@ type chunkOut struct {
 	// code and lcdKeep are written by the winnow phase, one entry per dests /
 	// lcdDests slot. Each slot is written by exactly one winnow worker (the
 	// owner of the destination's shard), so concurrent writes never alias.
-	// The apply pass may downgrade a winner to winnowStale (same ownership:
-	// the destination shard's worker), which the tail converts to cycle
-	// evidence instead of a queue entry.
-	code    []int8 // winnowWinner / winnowDup / winnowDupNewPair / winnowStale
+	// A winnowWinner slot's token is already in the destination's set when
+	// the winnow phase ends; the tail only schedules it.
+	code    []int8 // winnowWinner / winnowDup / winnowDupNewPair
 	lcdKeep []bool
 
 	// Push-chunk output (kind chunkPush): pushToks holds the membership-
@@ -283,23 +279,10 @@ type chunkOut struct {
 
 // Winnow verdicts for one proposal slot.
 const (
-	winnowWinner     = int8(iota) // first proposal of its (dest, token) this epoch: insert
+	winnowWinner     = int8(iota) // first proposal of its (dest, token) this epoch: inserted
 	winnowDup                     // duplicate, LCD pair already known: skip entirely
 	winnowDupNewPair              // duplicate carrying a new cycle-detection pair
-	// winnowStale marks a winner whose destination already held the token
-	// when the apply pass reached it. With the delta scan gone no same-epoch
-	// insert can race a winner anymore — winnow guarantees one winner per
-	// (dest, token) across both chunk kinds and scan verified absence at
-	// epoch start — so this is a defensive downgrade path; the tail turns it
-	// into cycle evidence, mirroring the old barrier's quiet-insert failure.
-	winnowStale
 )
-
-// winKey identifies a proposed insertion within an epoch.
-type winKey struct {
-	w Var
-	t Token
-}
 
 // wsDeque is a fixed-content Chase-Lev work-stealing deque: the owner pops
 // from the bottom (LIFO, cache-warm), thieves steal from the top with a
@@ -371,7 +354,8 @@ type applyAcc struct {
 	delivered  int64
 	redundant  int64
 	crossShard int64
-	_          [32]byte
+	swaps      int64
+	_          [24]byte
 }
 
 // parallelEngine holds the reusable epoch state of one solver. All fields
@@ -417,17 +401,14 @@ type parallelEngine struct {
 	sweepComputeNS int64
 	sweepScratch   sweepScratch
 
-	// Winnow scratch: per-destination-shard stamp maps. An entry is live
-	// only when its value equals winStamp, so epochs never clear them; the
-	// maps are reallocated when they grow past winScratchMax (a memory
-	// bound, invisible to semantics).
+	// Winnow scratch: per-destination-shard stamp maps of the cycle-pair
+	// sightings this epoch. An entry is live only when its value equals
+	// winStamp, so epochs never clear them. Every key is a representative
+	// edge that carried a redundant proposal, so the maps stay within the
+	// edge count, like lcdChecked.
 	winStamp int32
-	winTok   [nShards]map[winKey]int32
 	winPair  [nShards]map[edgePair]int32
 }
-
-// winScratchMax bounds a winnow scratch map's size before reallocation.
-const winScratchMax = 1 << 16
 
 func newParallelEngine(workers int) *parallelEngine {
 	if workers < 1 {
@@ -750,7 +731,7 @@ func (p *parallelEngine) stealAny(wi, nw int, steals *int64) (chunkRef, bool) {
 }
 
 // scanChunk computes one chunk's proposals. Strictly read-only over solver
-// state: it may only call findRO (no compression), indexOf/hasToken
+// state: it may only call findRO (no compression), isProcessed/hasToken
 // (membership reads), and read edge and trigger slices. Its output depends
 // only on the epoch-start state and the chunk bounds — never on scheduling.
 func (p *parallelEngine) scanChunk(s *solver, c chunkRef, out *chunkOut) {
@@ -763,18 +744,15 @@ func (p *parallelEngine) scanChunk(s *solver, c chunkRef, out *chunkOut) {
 	out.ends = out.ends[:0]
 	out.edgeCnt = out.edgeCnt[:0]
 	out.selfCnt = out.selfCnt[:0]
-	out.idx = out.idx[:0]
 	out.trig = out.trig[:0]
 	out.lcdDests = out.lcdDests[:0]
 	out.lcdEnds = out.lcdEnds[:0]
 	for _, d := range f {
 		st := s.state(d.v)
-		idx := st.indexOf(d.t)
-		out.idx = append(out.idx, int32(idx))
 		// Trigger lists only grow in serial tails (and between epochs), so
 		// the count is frozen for the whole pipeline round.
 		out.trig = append(out.trig, int32(len(st.triggers)))
-		if idx < st.delivered {
+		if st.isProcessed(d.t) {
 			// Already processed when the epoch started (a duplicate queue
 			// entry from before a merge); the apply pass will skip it too.
 			out.edgeCnt = append(out.edgeCnt, -1)
@@ -810,7 +788,7 @@ func (p *parallelEngine) scanChunk(s *solver, c chunkRef, out *chunkOut) {
 		out.lcdEnds = append(out.lcdEnds, int32(len(out.lcdDests)))
 	}
 	// Pre-size the winnow/apply verdict arrays; the winnow workers fill
-	// every code slot, the apply pass every live slot.
+	// every code and lcdKeep slot, the apply pass every live slot.
 	if cap(out.code) < len(out.dests) {
 		out.code = make([]int8, len(out.dests))
 	}
@@ -884,21 +862,29 @@ func (p *parallelEngine) materializePushes(s *solver) {
 
 // winnow is the combining phase between scan and apply: it walks every
 // chunk's proposals in exact replay order and, per destination shard,
-// resolves same-epoch duplicates — diamond-shaped graphs propose the same
-// (destination, token) pair from many sources within one epoch, and without
-// this phase every duplicate would cost the apply pass a membership lookup
-// plus the tail a cycle-pair lookup. The first proposal in replay order wins
-// (winnowWinner); later ones are marked winnowDup, or winnowDupNewPair for
-// the first duplicate carrying a source→dest pair that lazy cycle detection
-// has not checked yet. lcdDests slots get the same per-pair dedup.
+// inserts the proposed tokens into the destinations' sets. Diamond-shaped
+// graphs propose the same (destination, token) pair from many sources
+// within one epoch; the first proposal in replay order finds the token
+// absent, inserts it, and wins (winnowWinner). Later ones find it present
+// and are marked winnowDup, or winnowDupNewPair for the first duplicate
+// carrying a source→dest pair that lazy cycle detection has not checked
+// yet. lcdDests slots get the same per-pair dedup.
+//
+// Exactness: scan proposes only tokens absent from the destination at
+// epoch start, and within an epoch only winners insert, so "first to find
+// it absent" is "first in replay order". Winnow-time appends land past each
+// set's epoch-start length, while the apply pass moves tokens only within
+// [delivered, epoch-start length), so the two phases commute. The
+// concurrent sweep reads only edges and parents, never token sets.
 //
 // Determinism: verdicts for a destination shard depend only on that shard's
-// proposal sequence in fixed chunk order and on epoch-start lcdChecked —
-// never on which worker processed the shard — so the apply pass and tail
-// behave (and hence all counters are) identically at every worker count, and
-// identically to running this phase inline. Workers partition by destination
-// shard (shard mod nw), so scratch maps are never shared; verdict slots are
-// written by exactly one worker each.
+// proposal sequence in fixed chunk order, its epoch-start token sets, and
+// epoch-start lcdChecked — never on which worker processed the shard — so
+// the inserts, the tail and all counters are identical at every worker
+// count, and identical to running this phase inline. Workers partition by
+// destination shard (shard mod nw), so every destination set and scratch
+// map is touched by one worker only; verdict slots are written by exactly
+// one worker each.
 func (p *parallelEngine) winnow(s *solver, nw int) {
 	t0 := time.Now()
 	defer func() { p.stats.ScanNS += time.Since(t0).Nanoseconds() }()
@@ -918,15 +904,17 @@ func (p *parallelEngine) winnow(s *solver, nw int) {
 	wg.Wait()
 }
 
-// winnowShards computes the verdicts of every destination shard congruent to
-// first modulo stride, walking all chunks in replay order.
+// winnowShards computes the verdicts and performs the winning inserts of
+// every destination shard congruent to first modulo stride, walking all
+// chunks in replay order. Effort lands in worker first's accumulator.
 func (p *parallelEngine) winnowShards(s *solver, first, stride int32) {
 	stamp := p.winStamp
+	acc := &p.accs[first]
 	for ci := range p.chunks {
 		c := p.chunks[ci]
 		out := &p.outs[c.id]
 		if c.kind == chunkPush {
-			p.winnowPushChunk(s, c, out, first, stride, stamp)
+			p.winnowPushChunk(s, c, out, acc, first, stride, stamp)
 			continue
 		}
 		f := p.shardFrontier[c.shard][c.lo:c.hi]
@@ -940,15 +928,12 @@ func (p *parallelEngine) winnowShards(s *solver, first, stride int32) {
 				if stride > 1 && sh%stride != first {
 					continue
 				}
-				wt := p.winTok[sh]
-				if wt == nil || len(wt) > winScratchMax {
-					wt = make(map[winKey]int32)
-					p.winTok[sh] = wt
-				}
-				key := winKey{w, d.t}
-				if wt[key] != stamp {
-					wt[key] = stamp
+				if ws := s.state(w); !ws.hasToken(d.t) {
+					ws.appendToken(d.t)
 					out.code[pi] = winnowWinner
+					if sh != c.shard {
+						acc.crossShard++
+					}
 					continue
 				}
 				out.code[pi] = p.winnowPair(s, sh, edgePair{d.v, w}, stamp)
@@ -966,13 +951,15 @@ func (p *parallelEngine) winnowShards(s *solver, first, stride int32) {
 	}
 }
 
-// winnowPushChunk computes verdicts for a push chunk: per-token winner
-// selection against the same (dest, token) stamp maps the frontier
-// proposals use — the shared keying is what makes a cross-kind duplicate
-// (a queued delivery and a prefix push proposing the same insertion) resolve
-// to exactly one winner — plus one cycle-pair verdict per task, since every
-// redundancy in a push carries the same (from, to) pair.
-func (p *parallelEngine) winnowPushChunk(s *solver, c chunkRef, out *chunkOut, first, stride, stamp int32) {
+// winnowPushChunk handles a push chunk: per-token winner selection by
+// direct insert into the same destination sets the frontier proposals use —
+// which is what makes a cross-kind duplicate (a queued delivery and a
+// prefix push proposing the same insertion) resolve to exactly one winner —
+// plus one cycle-pair verdict per task, since every redundancy in a push
+// carries the same (from, to) pair. The sequential addEdge's accounting
+// comes along: every token of the frozen prefix was one delivery attempt,
+// counted once by the destination's owner.
+func (p *parallelEngine) winnowPushChunk(s *solver, c chunkRef, out *chunkOut, acc *applyAcc, first, stride, stamp int32) {
 	tasks := p.pushActive[c.lo:c.hi]
 	pstart := int32(0)
 	for ti := range tasks {
@@ -984,16 +971,15 @@ func (p *parallelEngine) winnowPushChunk(s *solver, c chunkRef, out *chunkOut, f
 			continue
 		}
 		pairWant := out.pushRed[ti]
-		wt := p.winTok[sh]
-		if wt == nil || len(wt) > winScratchMax {
-			wt = make(map[winKey]int32)
-			p.winTok[sh] = wt
-		}
+		dst := s.state(tk.to)
+		cross := sh != shardOfRep(tk.from)
 		for pi := pstart; pi < pend; pi++ {
-			key := winKey{tk.to, out.pushToks[pi]}
-			if wt[key] != stamp {
-				wt[key] = stamp
+			if t := out.pushToks[pi]; !dst.hasToken(t) {
+				dst.appendToken(t)
 				out.pushCode[pi] = winnowWinner
+				if cross {
+					acc.crossShard++
+				}
 			} else {
 				out.pushCode[pi] = winnowDup
 				pairWant = true
@@ -1001,6 +987,7 @@ func (p *parallelEngine) winnowPushChunk(s *solver, c chunkRef, out *chunkOut, f
 		}
 		out.pushPairNew[ti] = pairWant &&
 			p.winnowPair(s, sh, edgePair{tk.from, tk.to}, stamp) == winnowDupNewPair
+		acc.delivered += int64(tk.lim)
 		pstart = pend
 	}
 }
@@ -1014,7 +1001,7 @@ func (p *parallelEngine) winnowPair(s *solver, sh int32, pair edgePair, stamp in
 		return winnowDup
 	}
 	wp := p.winPair[sh]
-	if wp == nil || len(wp) > winScratchMax {
+	if wp == nil {
 		wp = make(map[edgePair]int32)
 		p.winPair[sh] = wp
 	}
@@ -1025,14 +1012,13 @@ func (p *parallelEngine) winnowPair(s *solver, sh int32, pair edgePair, stamp in
 	return winnowDupNewPair
 }
 
-// apply is the shard-owned parallel mutation pass: every worker walks all
-// chunks in the fixed replay order and performs exactly the operations whose
-// variable it owns (variable shard mod worker count). Ownership covers both
-// roles a variable can play in an epoch — frontier source (liveness,
-// processed-prefix swap, delivered advance, effort accounting) and proposal
-// destination (winning token inserts) — because both key off the same shard,
-// so one varState is only ever touched by one worker, in the same relative
-// order the serial barrier used.
+// apply is the shard-owned parallel bookkeeping pass over the frontier:
+// every worker walks the chunks of the shards it owns (shard mod worker
+// count) in the fixed replay order and decides, per delivery, whether it is
+// live, advancing the source's processed prefix and accounting its effort.
+// The winning inserts into destinations already happened in the winnow
+// phase, so one varState is only ever touched by one worker per phase, in
+// the same relative order the serial barrier used.
 //
 // The pass mutates token sets and per-worker accumulators only; everything
 // order-sensitive across shards (queue scheduling, cycle evidence, trigger
@@ -1053,141 +1039,60 @@ func (p *parallelEngine) apply(s *solver, nw int) {
 		}
 		wg.Wait()
 	}
-	// Fold the per-worker effort accumulators into the solver counters.
-	// Integer sums are independent of the ownership split, so the totals are
-	// identical at every worker count.
+	// Fold the per-worker effort accumulators (winnow's and apply's) into
+	// the solver counters. Integer sums are independent of the ownership
+	// split, so the totals are identical at every worker count.
 	for wi := 0; wi < nw; wi++ {
 		acc := &p.accs[wi]
 		s.iterations += acc.iterations
 		s.tokensDelivered += acc.delivered
 		s.redundantSkipped += acc.redundant
+		s.swaps += acc.swaps
 		p.stats.CrossShard += acc.crossShard
 		*acc = applyAcc{}
 	}
 	p.stats.ApplyNS += time.Since(t0).Nanoseconds()
 }
 
-// applyWorker performs worker wi's owned share of the apply pass.
+// applyWorker performs worker wi's owned share of the apply pass, exactly
+// as the serial barrier's prologue: one iteration per frontier delivery,
+// and dead ones — already processed at epoch start, or a same-epoch
+// duplicate whose earlier occurrence (same variable, same owner, earlier
+// in the fixed order) advanced delivered — count one redundant skip and
+// nothing else.
 func (p *parallelEngine) applyWorker(s *solver, wi, nw int) {
 	acc := &p.accs[wi]
 	for ci := range p.chunks {
 		c := p.chunks[ci]
-		out := &p.outs[c.id]
-		if c.kind == chunkPush {
-			p.applyPushChunk(s, c, out, acc, wi, nw)
+		if c.kind == chunkPush || (nw > 1 && int(c.shard)%nw != wi) {
 			continue
 		}
-		srcOwned := nw <= 1 || int(c.shard)%nw == wi
+		out := &p.outs[c.id]
 		f := p.shardFrontier[c.shard][c.lo:c.hi]
-		pstart := int32(0)
 		for di := range f {
 			d := f[di]
-			pend := out.ends[di]
-			if srcOwned {
-				// Source-side bookkeeping, exactly as the serial barrier's
-				// prologue: one iteration per frontier delivery, dead ones
-				// (already processed at epoch start, or a same-epoch duplicate
-				// whose earlier occurrence — same variable, same owner, earlier
-				// in the fixed order — advanced delivered) count one redundant
-				// skip and nothing else.
-				acc.iterations++
-				live := out.edgeCnt[di] >= 0
-				if live {
-					st := s.state(d.v)
-					idx := int(out.idx[di])
-					if idx >= len(st.tokens) || st.tokens[idx] != d.t {
-						// The scan-time position went stale (an earlier
-						// merge-swap by this worker moved the token); fall back
-						// to a lookup.
-						idx = st.indexOf(d.t)
+			acc.iterations++
+			live := out.edgeCnt[di] >= 0
+			if live {
+				st := s.state(d.v)
+				if st.isProcessed(d.t) {
+					live = false
+				} else {
+					// Exact sequential accounting: every non-self edge was one
+					// delivery attempt, every self-edge one redundant skip.
+					acc.delivered += int64(out.edgeCnt[di] - out.selfCnt[di])
+					acc.redundant += int64(out.selfCnt[di])
+					if st.deliver(d.t) {
+						acc.swaps++
 					}
-					if idx < st.delivered {
-						live = false
-					} else {
-						// Exact sequential accounting: every non-self edge was
-						// one delivery attempt, every self-edge one redundant
-						// skip.
-						acc.delivered += int64(out.edgeCnt[di] - out.selfCnt[di])
-						acc.redundant += int64(out.selfCnt[di])
-						if idx != st.delivered {
-							st.swapTokens(idx, st.delivered)
-						}
-						st.delivered++
-						p.shardDelivered[c.shard]++
-					}
-				}
-				if !live {
-					acc.redundant++
-				}
-				out.live[di] = live
-			}
-			// Destination-side winning inserts. A dead delivery never owns a
-			// winner slot — its earlier live duplicate scanned the identical
-			// proposal list and took every (dest, token) stamp first, and
-			// scan-dead deliveries record no proposals at all — so no liveness
-			// check is needed here (and none is possible: the source owner may
-			// not have reached this delivery yet).
-			for pi := pstart; pi < pend; pi++ {
-				if out.code[pi] != winnowWinner {
-					continue
-				}
-				w := out.dests[pi]
-				sh := shardOfRep(w)
-				if nw > 1 && int(sh)%nw != wi {
-					continue
-				}
-				ws := s.state(w)
-				if ws.hasToken(d.t) {
-					// Defensive: with the delta scan gone nothing can insert a
-					// winnowed (dest, token) before its winner (see
-					// winnowStale). Downgrade to cycle evidence if it ever did.
-					out.code[pi] = winnowStale
-					continue
-				}
-				ws.appendToken(d.t)
-				if sh != c.shard {
-					acc.crossShard++
+					p.shardDelivered[c.shard]++
 				}
 			}
-			pstart = pend
+			if !live {
+				acc.redundant++
+			}
+			out.live[di] = live
 		}
-	}
-}
-
-// applyPushChunk performs worker wi's owned share of a push chunk: winning
-// token inserts into each task's destination, with the sequential addEdge's
-// exact accounting — every token of the frozen prefix was one delivery
-// attempt (accumulated by the destination's owner so it is added exactly
-// once).
-func (p *parallelEngine) applyPushChunk(s *solver, c chunkRef, out *chunkOut, acc *applyAcc, wi, nw int) {
-	tasks := p.pushActive[c.lo:c.hi]
-	pstart := int32(0)
-	for ti := range tasks {
-		tk := tasks[ti]
-		pend := out.pushEnds[ti]
-		sh := shardOfRep(tk.to)
-		if nw > 1 && int(sh)%nw != wi {
-			pstart = pend
-			continue
-		}
-		dst := s.state(tk.to)
-		shFrom := shardOfRep(tk.from)
-		for pi := pstart; pi < pend; pi++ {
-			if out.pushCode[pi] != winnowWinner {
-				continue
-			}
-			t := out.pushToks[pi]
-			if dst.hasToken(t) {
-				out.pushCode[pi] = winnowStale
-				continue
-			}
-			dst.appendToken(t)
-			if sh != shFrom {
-				acc.crossShard++
-			}
-		}
-		acc.delivered += int64(tk.lim)
-		pstart = pend
 	}
 }
 
@@ -1226,21 +1131,22 @@ func (p *parallelEngine) tail(s *solver) {
 			d := f[di]
 			pend, lend := out.ends[di], out.lcdEnds[di]
 			if !out.live[di] {
-				// Redundant (skip already accounted by the apply pass);
-				// duplicates carry identical proposals, so nothing is lost.
+				// Redundant (skip already accounted by the apply pass). A dead
+				// delivery never owns a winner slot: its earlier live
+				// duplicate made the identical proposals first, and scan-dead
+				// deliveries propose nothing.
 				pstart, lstart = pend, lend
 				continue
 			}
 			for pi := pstart; pi < pend; pi++ {
-				w := out.dests[pi]
 				switch out.code[pi] {
 				case winnowWinner:
-					// Inserted by the apply pass; schedule its processing.
-					s.queue = append(s.queue, delivery{w, d.t})
-				case winnowDupNewPair, winnowStale:
+					// Inserted by the winnow phase; schedule its processing.
+					s.queue = append(s.queue, delivery{out.dests[pi], d.t})
+				case winnowDupNewPair:
 					// noteLCD re-checks lcdChecked: an earlier note this tail
 					// may have claimed the pair first.
-					s.noteLCD(d.v, w)
+					s.noteLCD(d.v, out.dests[pi])
 				}
 			}
 			for li := lstart; li < lend; li++ {
@@ -1271,16 +1177,9 @@ func (p *parallelEngine) tailPushChunk(s *solver, c chunkRef, out *chunkOut) {
 	for ti := range tasks {
 		tk := tasks[ti]
 		pend := out.pushEnds[ti]
-		noted := false
 		for pi := pstart; pi < pend; pi++ {
-			switch out.pushCode[pi] {
-			case winnowWinner:
+			if out.pushCode[pi] == winnowWinner {
 				s.queue = append(s.queue, delivery{tk.to, out.pushToks[pi]})
-			case winnowStale:
-				if !noted {
-					s.noteLCD(tk.from, tk.to)
-					noted = true
-				}
 			}
 		}
 		if out.pushPairNew[ti] {

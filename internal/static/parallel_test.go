@@ -35,6 +35,7 @@ func TestParallelSolverMatchesSequential(t *testing.T) {
 		sq := newSolver()
 		cpsSeq, firedSeq := randomOps(seed, sq, nVars, rounds)
 		seqIters, seqDelivered := sq.stats()
+		checkTokenBits(t, sq)
 
 		var refIters, refDelivered int64
 		var refStruct StructureStats
@@ -42,6 +43,7 @@ func TestParallelSolverMatchesSequential(t *testing.T) {
 			sp := newSolver()
 			sp.configureParallel(workers)
 			cpsPar, firedPar := randomOps(seed, sp, nVars, rounds)
+			checkTokenBits(t, sp)
 
 			for v := 0; v < nVars; v++ {
 				gs := sortedTokens(sq.tokens(Var(v)))
@@ -168,6 +170,7 @@ func TestParallelPipelinePropertyConcurrentMatchesInline(t *testing.T) {
 			sc := newSolver()
 			sc.configureParallel(workers)
 			cpsConc, firedConc := randomOps(seed, sc, nVars, rounds)
+			checkTokenBits(t, sc)
 
 			for v := 0; v < nVars; v++ {
 				if !tokensEqual(sortedTokens(si.tokens(Var(v))), sortedTokens(sc.tokens(Var(v)))) {

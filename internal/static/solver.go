@@ -13,17 +13,15 @@ type Var int32
 type Token int32
 
 // smallSetMax is the membership-test threshold: token and edge sets at or
-// below this size use a linear scan over the dense slice (cache-friendly,
-// no allocation); larger sets spill to a map. Most constraint variables in
-// practice hold a handful of tokens, so the maps — previously allocated for
-// every non-empty set — become rare. Condensed representatives concentrate
-// tokens and edges, which makes the spill more common for them but leaves
-// the vast majority of variables below the threshold; see
-// BenchmarkMembershipThreshold in solver_bench_test.go for the measurement
-// behind the value (8 and 16 are within noise of 12 on the propagation
-// benchmarks; below 8 the corpus pipeline pays map allocations for the
-// typical 10-element prototype-chain sets, above 16 wide sets pay linear
-// rescans on every redundant delivery).
+// below this size answer membership with a linear scan over the dense slice
+// (cache-friendly, no allocation). Larger token sets spill to a windowed
+// bitset pair (tokenBits) and larger edge sets to a map. Most constraint
+// variables hold a handful of tokens, so the spill stays rare; condensed
+// representatives concentrate tokens, which makes it more common for them.
+// BenchmarkSolverSetThresholds in solver_bench_test.go measures the value
+// (re-run with the constant at 8, 12 and 16: below 8 the corpus pipeline
+// pays spill allocations for the typical 10-element prototype-chain sets,
+// above 16 wide sets pay linear rescans on every redundant delivery).
 const smallSetMax = 12
 
 // queueCompactMin bounds how much dead prefix the delivery queue tolerates
@@ -179,6 +177,9 @@ type solver struct {
 	redundantSkipped  int64 // deliveries short-circuited (token already processed by the representative, or self-edge after condensation)
 	copiesSubstituted int64 // variables removed by offline copy substitution (subset of varsUnified)
 	sweepVisited      int64 // variables plus edges traversed by SCC sweeps
+	// swaps counts deliveries processed out of append order (see deliver);
+	// a diagnostic that tests use to reach the swap path, not reported.
+	swaps int64
 }
 
 type varState struct {
@@ -190,16 +191,16 @@ type varState struct {
 	// frozen — checkpoints taken while it was a representative keep reading
 	// their prefix from it.
 	tokens []Token
-	// has is nil while len(tokens) <= smallSetMax; membership and position
-	// lookups then are a linear scan of tokens. When spilled, it maps each
-	// token to its current index in tokens (kept up to date across swaps).
-	has map[Token]int32
+	// bits is nil while len(tokens) <= smallSetMax; membership and
+	// processed tests then scan tokens linearly. Once the set spills it is
+	// the windowed bitset pair that answers both (see tokenBits).
+	bits *tokenBits
 	// delivered counts the prefix of tokens whose queue entry has been
 	// processed; triggers registered later run immediately for that prefix
 	// only, so each (trigger, token) pair fires exactly once.
 	delivered int
 	edges     []Var
-	// edgeHas mirrors the spill rule of has for the edge set.
+	// edgeHas is the edge set's spill: a map once len(edges) > smallSetMax.
 	edgeHas  map[Var]struct{}
 	triggers []func(Token)
 	// merged marks a state absorbed into a representative; its tokens
@@ -207,24 +208,135 @@ type varState struct {
 	merged bool
 }
 
-// indexOf returns the position of t in st.tokens, or -1.
-func (st *varState) indexOf(t Token) int {
-	if st.has != nil {
-		if i, ok := st.has[t]; ok {
-			return int(i)
-		}
-		return -1
+// tokenBits is the membership index of a spilled token set: two bit planes
+// over a window of token ids, member = set(tokens) and processed =
+// set(tokens[:delivered]). Window word k covers the ids [64(base+k),
+// 64(base+k)+64); words[2k] is its member word and words[2k+1] its
+// processed word, so one cache line answers both tests. The window spans
+// the set's smallest to largest token (plus growth slack). Swaps stay
+// inside the pending suffix, so they never change either plane.
+type tokenBits struct {
+	base  int32
+	words []uint64
+}
+
+// newTokenBits indexes ts, whose first delivered tokens are processed.
+func newTokenBits(ts []Token, delivered int) *tokenBits {
+	lo, hi := ts[0], ts[0]
+	for _, t := range ts[1:] {
+		lo, hi = min(lo, t), max(hi, t)
 	}
-	for i, x := range st.tokens {
-		if x == t {
-			return i
+	b := &tokenBits{base: int32(lo >> 6), words: make([]uint64, 2*(int(hi>>6)-int(lo>>6)+1))}
+	for i, t := range ts {
+		k := b.word(t)
+		b.words[k] |= 1 << (t & 63)
+		if i < delivered {
+			b.words[k+1] |= 1 << (t & 63)
 		}
 	}
-	return -1
+	return b
+}
+
+// word returns the index of t's member word. Ids outside the window give
+// an index >= len(words) (ids below it wrap around), so one comparison is
+// the whole bounds test.
+func (b *tokenBits) word(t Token) uint { return 2 * uint(int(t>>6)-int(b.base)) }
+
+func (b *tokenBits) has(t Token) bool {
+	k := b.word(t)
+	return k < uint(len(b.words)) && b.words[k]&(1<<(t&63)) != 0
+}
+
+func (b *tokenBits) processed(t Token) bool {
+	k := b.word(t) + 1
+	return k < uint(len(b.words)) && b.words[k]&(1<<(t&63)) != 0
+}
+
+// add sets t's member bit, widening the window when t lies outside it.
+func (b *tokenBits) add(t Token) {
+	k := b.word(t)
+	if k >= uint(len(b.words)) {
+		b.grow(int32(t >> 6))
+		k = b.word(t)
+	}
+	b.words[k] |= 1 << (t & 63)
+}
+
+// grow widens the window to cover word w, with slack of half the current
+// width on the growing side, so a set that keeps widening one way
+// reallocates only a logarithmic number of times.
+func (b *tokenBits) grow(w int32) {
+	n := int32(len(b.words) / 2)
+	lo, hi := b.base, b.base+n
+	slack := n/2 + 1
+	if w < lo {
+		lo = max(w-slack, 0) // token ids are non-negative
+	} else {
+		hi = w + 1 + slack
+	}
+	words := make([]uint64, 2*(hi-lo))
+	copy(words[2*(b.base-lo):], b.words)
+	b.base, b.words = lo, words
+}
+
+// remove clears both of t's bits (rollback truncation).
+func (b *tokenBits) remove(t Token) {
+	if k := b.word(t); k < uint(len(b.words)) {
+		b.words[k] &^= 1 << (t & 63)
+		b.words[k+1] &^= 1 << (t & 63)
+	}
 }
 
 // hasToken reports whether t ∈ ⟦v⟧ for this state.
-func (st *varState) hasToken(t Token) bool { return st.indexOf(t) >= 0 }
+func (st *varState) hasToken(t Token) bool {
+	if st.bits != nil {
+		return st.bits.has(t)
+	}
+	for _, x := range st.tokens {
+		if x == t {
+			return true
+		}
+	}
+	return false
+}
+
+// isProcessed reports whether t is in the processed prefix
+// tokens[:delivered]: its queue entry has already been handled.
+func (st *varState) isProcessed(t Token) bool {
+	if st.bits != nil {
+		return st.bits.processed(t)
+	}
+	for i := 0; i < st.delivered; i++ {
+		if st.tokens[i] == t {
+			return true
+		}
+	}
+	return false
+}
+
+// deliver extends the processed prefix over the pending token t and
+// reports whether t was processed out of append order. Pending tokens
+// normally pop in append order, so t is tokens[delivered]; only after a
+// merge re-queued the absorbed member's pending tokens can it sit further
+// along the suffix, and it is then swapped into position delivered so
+// tokens[:delivered] stays exactly the processed set. Swaps never touch the
+// immutable prefix, so frozen checkpoint views survive.
+func (st *varState) deliver(t Token) bool {
+	i := st.delivered
+	swapped := st.tokens[i] != t
+	if swapped {
+		j := i + 1
+		for st.tokens[j] != t {
+			j++
+		}
+		st.tokens[i], st.tokens[j] = t, st.tokens[i]
+	}
+	st.delivered++
+	if b := st.bits; b != nil {
+		b.words[b.word(t)+1] |= 1 << (t & 63)
+	}
+	return swapped
+}
 
 // hasEdge reports whether the edge to v is already present.
 func (st *varState) hasEdge(v Var) bool {
@@ -240,19 +352,16 @@ func (st *varState) hasEdge(v Var) bool {
 	return false
 }
 
-// appendToken appends t (known absent) and maintains the position index.
+// appendToken appends t (known absent) and maintains the membership index.
 func (st *varState) appendToken(t Token) {
 	if st.tokens == nil {
 		st.tokens = make([]Token, 0, 4)
 	}
 	st.tokens = append(st.tokens, t)
-	if st.has != nil {
-		st.has[t] = int32(len(st.tokens) - 1)
+	if st.bits != nil {
+		st.bits.add(t)
 	} else if len(st.tokens) > smallSetMax {
-		st.has = make(map[Token]int32, 2*len(st.tokens))
-		for i, x := range st.tokens {
-			st.has[x] = int32(i)
-		}
+		st.bits = newTokenBits(st.tokens, st.delivered)
 	}
 }
 
@@ -456,20 +565,19 @@ func (s *solver) solve() {
 		// extend this variable's own edge and trigger lists while we
 		// iterate, so re-check the lengths each step.
 		st := s.state(v)
-		idx := st.indexOf(d.t)
-		if idx < st.delivered {
+		if st.isProcessed(d.t) {
 			// Already processed by the representative: this delivery was
 			// addressed to a member before its cycle collapsed (or is the
 			// merge-time re-queue of a token the other side had pending).
 			s.redundantSkipped++
 			continue
 		}
-		if idx != st.delivered {
-			// Out-of-append-order processing after a merge: swap the token
-			// into the prefix position so tokens[:delivered] stays exactly
-			// the processed set. Swaps never touch the immutable prefix, so
-			// frozen checkpoint views survive.
-			st.swapTokens(idx, st.delivered)
+		// Mark delivered before running triggers so a trigger registering
+		// further triggers on this variable does not re-fire for d.t. The
+		// edge loop below only inserts into other representatives, so
+		// advancing the prefix first is invisible to it.
+		if st.deliver(d.t) {
+			s.swaps++
 		}
 		for i := 0; i < len(st.edges); i++ {
 			to := s.find(st.edges[i])
@@ -483,9 +591,6 @@ func (s *solver) solve() {
 				s.noteLCD(v, to)
 			}
 		}
-		// Mark delivered before running triggers so a trigger registering
-		// further triggers on this variable does not re-fire for d.t.
-		st.delivered++
 		// Snapshot the trigger count: triggers registered during this loop
 		// (by a trigger on the same variable) already see d.t through the
 		// registration-time replay — running them here too would fire the
@@ -498,16 +603,6 @@ func (s *solver) solve() {
 	// Fully drained: release the queue for the next solve round.
 	s.queue = s.queue[:0]
 	s.head = 0
-}
-
-// swapTokens exchanges the tokens at positions i and j, keeping the spill
-// index coherent.
-func (st *varState) swapTokens(i, j int) {
-	st.tokens[i], st.tokens[j] = st.tokens[j], st.tokens[i]
-	if st.has != nil {
-		st.has[st.tokens[i]] = int32(i)
-		st.has[st.tokens[j]] = int32(j)
-	}
 }
 
 // ------------------------------------------------------------ cycle collapse
@@ -669,7 +764,7 @@ func (s *solver) mergeContents(m, r Var) {
 		// fired.
 		for i := 0; i < rs.delivered; i++ {
 			t := rs.tokens[i]
-			if idx := ms.indexOf(t); idx >= 0 && idx < ms.delivered {
+			if ms.isProcessed(t) {
 				continue // m already fired this pair
 			}
 			for _, fn := range ms.triggers {
@@ -681,7 +776,7 @@ func (s *solver) mergeContents(m, r Var) {
 		var skip map[Token]struct{}
 		for i := 0; i < ms.delivered; i++ {
 			t := ms.tokens[i]
-			if idx := rs.indexOf(t); idx >= 0 && idx < rs.delivered {
+			if rs.isProcessed(t) {
 				continue // also processed by r: never delivered again
 			}
 			if skip == nil {
@@ -726,7 +821,7 @@ func (s *solver) mergeContents(m, r Var) {
 	}
 
 	// Release everything except the frozen token slice.
-	ms.edges, ms.edgeHas, ms.triggers, ms.has = nil, nil, nil, nil
+	ms.edges, ms.edgeHas, ms.triggers, ms.bits = nil, nil, nil, nil
 	ms.merged = true
 }
 
@@ -1119,7 +1214,7 @@ type rollbackPoint struct {
 	tokensLen  []int32
 	edgesLen   []int32
 	trigLen    []int32
-	hasNil     []bool
+	bitsNil    []bool
 	edgeHasNil []bool
 	nextSweep  int64
 }
@@ -1134,7 +1229,7 @@ func (s *solver) rollbackPoint() *rollbackPoint {
 		tokensLen:  make([]int32, s.nVars),
 		edgesLen:   make([]int32, s.nVars),
 		trigLen:    make([]int32, s.nVars),
-		hasNil:     make([]bool, s.nVars),
+		bitsNil:    make([]bool, s.nVars),
 		edgeHasNil: make([]bool, s.nVars),
 		nextSweep:  s.nextSweep,
 	}
@@ -1143,7 +1238,7 @@ func (s *solver) rollbackPoint() *rollbackPoint {
 		rp.tokensLen[v] = int32(len(st.tokens))
 		rp.edgesLen[v] = int32(len(st.edges))
 		rp.trigLen[v] = int32(len(st.triggers))
-		rp.hasNil[v] = st.has == nil
+		rp.bitsNil[v] = st.bits == nil
 		rp.edgeHasNil[v] = st.edgeHas == nil
 	}
 	return rp
@@ -1151,11 +1246,11 @@ func (s *solver) rollbackPoint() *rollbackPoint {
 
 // rollbackTo restores the solver to rp: post-snapshot variables are
 // released, and every surviving state's token, edge, and trigger lists are
-// truncated to their snapshot lengths (with spill maps shrunk or dropped to
-// match). Valid only if the solver stayed in no-unify mode since rp was
-// taken and the queue is drained (both phases ended at a fixpoint). Effort
-// counters are deliberately left cumulative — rolled-back work was still
-// performed.
+// truncated to their snapshot lengths (with spilled membership indexes
+// shrunk or dropped to match). Valid only if the solver stayed in no-unify
+// mode since rp was taken and the queue is drained (both phases ended at a
+// fixpoint). Effort counters are deliberately left cumulative — rolled-back
+// work was still performed.
 func (s *solver) rollbackTo(rp *rollbackPoint) {
 	if !s.noUnify {
 		panic("static: rollbackTo outside the no-unify window")
@@ -1176,17 +1271,18 @@ func (s *solver) rollbackTo(rp *rollbackPoint) {
 		}
 		tl := int(rp.tokensLen[v])
 		if len(st.tokens) > tl {
-			if st.has != nil {
+			if st.bits != nil {
 				for _, t := range st.tokens[tl:] {
-					delete(st.has, t)
+					st.bits.remove(t)
 				}
 			}
 			st.tokens = st.tokens[:tl]
 		}
-		if st.has != nil && rp.hasNil[v] {
-			st.has = nil
+		if st.bits != nil && rp.bitsNil[v] {
+			st.bits = nil
 		}
-		// At a drained fixpoint every token's queue entry was processed.
+		// At a drained fixpoint every token's queue entry was processed, so
+		// the surviving processed bits already cover exactly tokens[:tl].
 		st.delivered = tl
 		el := int(rp.edgesLen[v])
 		if len(st.edges) > el {

@@ -100,6 +100,8 @@ func TestUnifyingSolverMatchesReference(t *testing.T) {
 		sr := newReferenceSolver()
 		cpsU, firedU := randomOps(seed, su, nVars, rounds)
 		cpsR, firedR := randomOps(seed, sr, nVars, rounds)
+		checkTokenBits(t, su)
+		checkTokenBits(t, sr)
 
 		for v := 0; v < nVars; v++ {
 			gu := sortedTokens(su.tokens(Var(v)))
@@ -163,6 +165,7 @@ func TestSolverRollbackRestoresFixpoint(t *testing.T) {
 		}
 		s.solve()
 		s.rollbackTo(rp)
+		checkTokenBits(t, s)
 		for v := 0; v < nVars; v++ {
 			if got := sortedTokens(s.tokens(Var(v))); !tokensEqual(got, base[v]) {
 				t.Fatalf("seed %d: var %d after rollback %v, want base %v", seed, v, got, base[v])
@@ -196,6 +199,7 @@ func TestSolverRollbackRestoresFixpoint(t *testing.T) {
 			s2.solve()
 		}
 		applyDelta2(s, nVars)
+		checkTokenBits(t, s)
 
 		sf := newSolver()
 		_, firedF := randomOps(seed, sf, nVars, 2)
