@@ -3,9 +3,12 @@
 // solver regresses. Wall times are machine-dependent and are never gated;
 // the gates run on the deterministic counters:
 //
-//   - effort counters (tokens_delivered, solve_iterations, sweep_visited)
-//     are one-sided: the candidate may not exceed the reference by more
-//     than -tolerance;
+//   - effort counters (tokens_delivered, solve_iterations, sweep_visited,
+//     and the baseline-phase tokens_delivered_baseline and
+//     solve_iterations_baseline) are one-sided: the candidate may not
+//     exceed the reference by more than -tolerance. The baseline-phase
+//     pair is gated on its own so that a re-baselined total cannot hide a
+//     core-solver regression;
 //
 //   - structure counters (cycles_collapsed, vars_unified,
 //     redundant_deliveries_skipped, ...) are two-sided: a structure counter
@@ -107,6 +110,8 @@ func checkPlain(ref, got perf.Snapshot) {
 	gate("tokens_delivered", ref.TokensDelivered, got.TokensDelivered, true)
 	gate("solve_iterations", ref.SolveIterations, got.SolveIterations, true)
 	gate("sweep_visited", ref.SweepVisited, got.SweepVisited, true)
+	gate("tokens_delivered_baseline", ref.TokensDeliveredBase, got.TokensDeliveredBase, true)
+	gate("solve_iterations_baseline", ref.SolveIterationsBase, got.SolveIterationsBase, true)
 	// Structure: two-sided — the collapse machinery changing its behavior
 	// in either direction is a semantic drift of the benchmark.
 	gate("cycles_collapsed", ref.CyclesCollapsed, got.CyclesCollapsed, false)

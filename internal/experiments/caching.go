@@ -29,7 +29,6 @@ import (
 	"repro/internal/callgraph"
 	"repro/internal/corpus"
 	"repro/internal/hints"
-	"repro/internal/static"
 )
 
 // schemaVersion is folded into every artifact key; bump it whenever the
@@ -63,8 +62,6 @@ type outcomeRecord struct {
 	ExtAcc   callgraph.Accuracy
 
 	BaseReach, ExtReach []callgraph.FuncID
-
-	BaseCondensation [][]static.Var
 
 	HasAbl   bool
 	AblEdges int
@@ -148,13 +145,12 @@ func loadOutcome(store *cache.Store, key string, b *corpus.Benchmark) (*Outcome,
 		BaseAcc:      rec.BaseAcc,
 		ExtAcc:       rec.ExtAcc,
 
-		baseReach:        make(map[callgraph.FuncID]bool, len(rec.BaseReach)),
-		extReach:         make(map[callgraph.FuncID]bool, len(rec.ExtReach)),
-		baseCondensation: rec.BaseCondensation,
-		hasAbl:           rec.HasAbl,
-		ablEdges:         rec.AblEdges,
-		ablMono:          rec.AblMono,
-		ablPrec:          rec.AblPrec,
+		baseReach: make(map[callgraph.FuncID]bool, len(rec.BaseReach)),
+		extReach:  make(map[callgraph.FuncID]bool, len(rec.ExtReach)),
+		hasAbl:    rec.HasAbl,
+		ablEdges:  rec.AblEdges,
+		ablMono:   rec.AblMono,
+		ablPrec:   rec.AblPrec,
 	}
 	for _, f := range rec.BaseReach {
 		out.baseReach[f] = true
@@ -169,26 +165,25 @@ func loadOutcome(store *cache.Store, key string, b *corpus.Benchmark) (*Outcome,
 // invoke it for fault-free runs.
 func storeOutcome(store *cache.Store, key string, out *Outcome) {
 	rec := outcomeRecord{
-		Name:             out.Name,
-		Stats:            out.Stats,
-		HintCount:        out.HintCount,
-		VisitedRatio:     out.VisitedRatio,
-		ApproxNS:         int64(out.ApproxTime),
-		BaselineNS:       int64(out.BaselineTime),
-		ExtendedNS:       int64(out.ExtendedTime),
-		Base:             out.Base,
-		Ext:              out.Ext,
-		HasDynCG:         out.HasDynCG,
-		DynEdges:         out.DynEdges,
-		BaseAcc:          out.BaseAcc,
-		ExtAcc:           out.ExtAcc,
-		BaseReach:        sortedFuncs(out.baseReach),
-		ExtReach:         sortedFuncs(out.extReach),
-		BaseCondensation: out.baseCondensation,
-		HasAbl:           out.hasAbl,
-		AblEdges:         out.ablEdges,
-		AblMono:          out.ablMono,
-		AblPrec:          out.ablPrec,
+		Name:         out.Name,
+		Stats:        out.Stats,
+		HintCount:    out.HintCount,
+		VisitedRatio: out.VisitedRatio,
+		ApproxNS:     int64(out.ApproxTime),
+		BaselineNS:   int64(out.BaselineTime),
+		ExtendedNS:   int64(out.ExtendedTime),
+		Base:         out.Base,
+		Ext:          out.Ext,
+		HasDynCG:     out.HasDynCG,
+		DynEdges:     out.DynEdges,
+		BaseAcc:      out.BaseAcc,
+		ExtAcc:       out.ExtAcc,
+		BaseReach:    sortedFuncs(out.baseReach),
+		ExtReach:     sortedFuncs(out.extReach),
+		HasAbl:       out.hasAbl,
+		AblEdges:     out.ablEdges,
+		AblMono:      out.ablMono,
+		AblPrec:      out.ablPrec,
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {

@@ -56,17 +56,11 @@ type Outcome struct {
 	baseReach map[callgraph.FuncID]bool
 	extReach  map[callgraph.FuncID]bool
 
-	// baseCondensation is the baseline-final cycle structure over
-	// generation-time constraint variables (static.Result.Condensation),
-	// reused to pre-unify later solves of the same project (ablation arm,
-	// §6 extension variants). Nil on the two-pass path.
-	baseCondensation [][]static.Var
-
-	// Name-only ablation arm, precomputed by the main run as a rolled-back
-	// third phase of the incremental solve (Options.WithAblation) so that
-	// RunAblationReusing needs no solve of its own. hasAbl only when the
-	// run was clean (no faults, no degradation) and the dynamic comparison
-	// ran, mirroring RunAblationReusing's own reuse conditions.
+	// Name-only ablation row, precomputed by the main run
+	// (Options.WithAblation) so that RunAblationReusing solves nothing.
+	// hasAbl only when the run was clean (no faults, no degradation) and
+	// the dynamic comparison ran, mirroring RunAblationReusing's own reuse
+	// conditions.
 	hasAbl   bool
 	ablEdges int
 	ablMono  float64
@@ -155,7 +149,7 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 		}
 	}
 
-	var base, ext, abl *static.Result
+	var base, ext *static.Result
 	if opts.TwoPass {
 		base, err = static.Analyze(b.Project, static.Options{Mode: static.Baseline, SolverWorkers: opts.SolverWorkers})
 		if err != nil {
@@ -169,21 +163,10 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 			return nil, fmt.Errorf("%s: extended: %w", b.Project.Name, err)
 		}
 	} else {
-		sopts := static.Options{
+		base, ext, err = static.AnalyzeBoth(b.Project, static.Options{
 			Mode: static.WithHints, Hints: hintSet, DegradeFiles: degrade,
 			SolverWorkers: opts.SolverWorkers,
-		}
-		// Piggy-back the §4 name-only arm on the incremental solve exactly
-		// when RunAblationReusing could consume it: a clean run of a
-		// dynamic-CG benchmark whose hints carry [DPW] writes (without
-		// them the arm equals the relational one and needs no solve).
-		if opts.WithAblation && opts.WithDynCG && b.HasDynCG &&
-			len(degrade) == 0 && len(out.Faults) == 0 &&
-			static.WriteHintsApply(hintSet) {
-			base, ext, abl, err = static.AnalyzeBothAndAblation(b.Project, sopts)
-		} else {
-			base, ext, err = static.AnalyzeBoth(b.Project, sopts)
-		}
+		})
 		if err != nil {
 			return nil, fmt.Errorf("%s: baseline+extended: %w", b.Project.Name, err)
 		}
@@ -193,7 +176,6 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 	out.BaselineTime = base.Duration
 	out.Base = base.Metrics()
 	out.baseReach = base.Graph.Reachable(base.MainEntries)
-	out.baseCondensation = base.Condensation
 	perf.Global().AddPhase(perf.PhaseBaseline, base.Duration)
 	perf.Global().AddPhaseAlloc(perf.PhaseBaseline, base.AllocBytes)
 	out.ExtendedTime = ext.Duration
@@ -211,11 +193,10 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 		out.BaseAcc = callgraph.CompareWithDynamic(base.Graph, dr.Graph)
 		out.ExtAcc = callgraph.CompareWithDynamic(ext.Graph, dr.Graph)
 		out.Faults = append(out.Faults, dr.Faults...)
-		if abl != nil && len(dr.Faults) == 0 && len(out.Faults) == 0 {
-			out.hasAbl = true
-			out.ablEdges = abl.Graph.NumEdges()
-			out.ablMono = abl.Metrics().MonomorphicPct
-			out.ablPrec = callgraph.CompareWithDynamic(abl.Graph, dr.Graph).Precision
+		if opts.WithAblation && len(out.Faults) == 0 && len(out.DegradedModules) == 0 {
+			if err := out.precomputeAblation(b, hintSet, dr, opts.SolverWorkers); err != nil {
+				return nil, fmt.Errorf("%s: ablation: %w", b.Project.Name, err)
+			}
 		}
 	}
 	perf.Global().AddFaults(len(out.Faults), len(out.DegradedModules))
@@ -226,6 +207,28 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 		storeOutcome(opts.Cache, outcomeKey(cacheFP, opts, b), out)
 	}
 	return out, nil
+}
+
+// precomputeAblation fills the §4 name-only row of a clean outcome (see
+// Options.WithAblation). Without [DPW] write hints the two arms inject
+// identical constraints, so the row equals the relational columns and
+// needs no solve.
+func (out *Outcome) precomputeAblation(b *corpus.Benchmark, h *hints.Hints, dr *dyncg.Result, solverWorkers int) error {
+	if !static.WriteHintsApply(h) {
+		out.ablEdges, out.ablMono, out.ablPrec = out.Ext.CallEdges, out.Ext.MonomorphicPct, out.ExtAcc.Precision
+	} else {
+		abl, err := static.Analyze(b.Project, static.Options{
+			Mode: static.AblationNameOnly, Hints: h, SolverWorkers: solverWorkers,
+		})
+		if err != nil {
+			return err
+		}
+		out.ablEdges = abl.Graph.NumEdges()
+		out.ablMono = abl.Metrics().MonomorphicPct
+		out.ablPrec = callgraph.CompareWithDynamic(abl.Graph, dr.Graph).Precision
+	}
+	out.hasAbl = true
+	return nil
 }
 
 // dynEntry is one memoized dynamic call-graph build.
@@ -285,10 +288,10 @@ type Options struct {
 	// DynCGDeadline is the per-entry wall-clock deadline of dynamic
 	// call-graph construction (0 = unlimited).
 	DynCGDeadline time.Duration
-	// WithAblation piggy-backs the §4 name-only ablation arm on each
-	// eligible benchmark's incremental solve (baseline solved once, two
-	// rolled-back deltas), so a later RunAblationReusing pass consumes it
-	// without solving anything. Ignored on the two-pass path.
+	// WithAblation precomputes the §4 name-only ablation row of each clean
+	// dynamic-CG benchmark (one standalone name-only solve when [DPW] write
+	// hints apply, none otherwise), so a later RunAblationReusing pass
+	// consumes it without solving anything.
 	WithAblation bool
 	// SolverWorkers selects the constraint-solver propagation engine per
 	// benchmark: 0 is the sequential pop loop, >= 1 the sharded epoch
@@ -508,25 +511,36 @@ type AblationOutcome struct {
 // the ablation's relational arm (hints, no degradation), so re-solving it
 // here would repeat the most expensive fixpoint of the ablation; the
 // incremental-equivalence tests assert the two paths agree corpus-wide.
-// Falls back to RunAblation (both arms from scratch) when prior is nil, is
-// for a different project, saw contained faults or degraded modules (its
-// extended graph then differs from the clean relational arm), or lacks the
-// dynamic-accuracy comparison the ablation table needs.
+// When the outcome also carries the name-only row (Options.WithAblation),
+// the whole row is reused. Falls back to RunAblation (both arms from
+// scratch) when prior is nil, is for a different project, saw contained
+// faults or degraded modules (its extended graph then differs from the
+// clean relational arm), or lacks the dynamic-accuracy comparison the
+// ablation table needs.
 func RunAblationReusing(b *corpus.Benchmark, prior *Outcome) (*AblationOutcome, error) {
 	if prior == nil || prior.Name != b.Project.Name ||
 		len(prior.Faults) > 0 || len(prior.DegradedModules) > 0 ||
 		(b.HasDynCG && prior.DynEdges == 0) {
 		return RunAblation(b)
 	}
-	ar, err := approx.Run(b.Project, approx.Options{})
-	if err != nil {
-		return nil, err
-	}
 	out := &AblationOutcome{
 		Name:                  b.Project.Name,
 		RelationalEdges:       prior.Ext.CallEdges,
 		RelationalMonomorphic: prior.Ext.MonomorphicPct,
 		RelationalPrecision:   prior.ExtAcc.Precision,
+	}
+	// The main run may have precomputed the name-only row
+	// (Options.WithAblation); then the whole ablation row costs nothing,
+	// not even a pre-analysis.
+	if prior.hasAbl {
+		out.NameOnlyEdges = prior.ablEdges
+		out.NameOnlyMonomorphic = prior.ablMono
+		out.NameOnlyPrecision = prior.ablPrec
+		return out, nil
+	}
+	ar, err := approx.Run(b.Project, approx.Options{})
+	if err != nil {
+		return nil, err
 	}
 	// Without [DPW] write hints the two ablation arms inject identical
 	// constraints, so the name-only column equals the relational one and
@@ -537,19 +551,7 @@ func RunAblationReusing(b *corpus.Benchmark, prior *Outcome) (*AblationOutcome, 
 		out.NameOnlyPrecision = out.RelationalPrecision
 		return out, nil
 	}
-	// The main run may have precomputed the name-only arm as a rolled-back
-	// third phase of its incremental solve (Options.WithAblation); then the
-	// whole ablation row costs no solve at all.
-	if prior.hasAbl {
-		out.NameOnlyEdges = prior.ablEdges
-		out.NameOnlyMonomorphic = prior.ablMono
-		out.NameOnlyPrecision = prior.ablPrec
-		return out, nil
-	}
-	abl, err := static.Analyze(b.Project, static.Options{
-		Mode: static.AblationNameOnly, Hints: ar.Hints,
-		PreUnify: prior.baseCondensation,
-	})
+	abl, err := static.Analyze(b.Project, static.Options{Mode: static.AblationNameOnly, Hints: ar.Hints})
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/approx"
 	"repro/internal/corpus"
+	"repro/internal/static"
 )
 
 func slice(t *testing.T, n int) []*corpus.Benchmark {
@@ -111,6 +114,77 @@ func TestRunAblation(t *testing.T) {
 		t.Errorf("name-only should be no more monomorphic: %.1f vs %.1f",
 			o.NameOnlyMonomorphic, o.RelationalMonomorphic)
 	}
+}
+
+// TestAblationReusingMatchesFromScratch checks the reuse path of the §4
+// ablation against RunAblation, which solves both arms from scratch: a
+// corpus run that precomputes the name-only row (Options.WithAblation),
+// consumed by RunAblationReusing, must report the same row field for field
+// on every dynamic-CG benchmark (-short: the first three whose hints carry
+// [DPW] writes, the only ones whose arms differ). A nil prior and a prior
+// of another project fall back to the from-scratch path and must agree too.
+func TestAblationReusingMatchesFromScratch(t *testing.T) {
+	var other *Outcome
+	checked, writeHint, fallbacks := 0, 0, false
+	for _, b := range corpus.WithDynCG() {
+		ar, err := approx.Run(b.Project, approx.Options{})
+		if err != nil {
+			t.Fatalf("%s: approx: %v", b.Project.Name, err)
+		}
+		hasWrites := static.WriteHintsApply(ar.Hints)
+		if testing.Short() && !hasWrites {
+			continue
+		}
+		outs, err := RunCorpusOpts([]*corpus.Benchmark{b}, Options{WithDynCG: true, WithAblation: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prior := outs[0]
+		if !prior.hasAbl {
+			t.Fatalf("%s: clean outcome has no precomputed ablation row", b.Project.Name)
+		}
+		want, err := RunAblation(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		priors := []*Outcome{prior}
+		if hasWrites && other != nil && !fallbacks {
+			priors = append(priors, nil, other)
+			fallbacks = true
+		}
+		for i, p := range priors {
+			got, err := RunAblationReusing(b, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameAblationRow(*got, *want) {
+				t.Errorf("%s (prior %d of own/nil/other): reused row %+v, from scratch %+v",
+					b.Project.Name, i, *got, *want)
+			}
+		}
+		other = prior
+		checked++
+		if hasWrites {
+			writeHint++
+			if testing.Short() && writeHint >= 3 {
+				break
+			}
+		}
+	}
+	if writeHint == 0 || !fallbacks {
+		t.Fatalf("checked %d write-hint benchmarks (fallbacks checked: %t); want at least two", writeHint, fallbacks)
+	}
+	t.Logf("checked %d benchmarks, %d with write hints", checked, writeHint)
+}
+
+// sameAblationRow compares two ablation rows field for field. Percentages
+// may differ in their last bits: precision is an average accumulated in
+// map order (callgraph.CompareWithDynamic).
+func sameAblationRow(a, b AblationOutcome) bool {
+	near := func(x, y float64) bool { return math.Abs(x-y) <= 1e-9*math.Max(1, math.Abs(y)) }
+	return a.Name == b.Name && a.RelationalEdges == b.RelationalEdges && a.NameOnlyEdges == b.NameOnlyEdges &&
+		near(a.RelationalMonomorphic, b.RelationalMonomorphic) && near(a.NameOnlyMonomorphic, b.NameOnlyMonomorphic) &&
+		near(a.RelationalPrecision, b.RelationalPrecision) && near(a.NameOnlyPrecision, b.NameOnlyPrecision)
 }
 
 func TestRenderers(t *testing.T) {

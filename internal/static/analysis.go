@@ -54,15 +54,6 @@ type Options struct {
 	// hint should only be produced when no hints would otherwise be
 	// produced").
 	UnknownArgHints bool
-	// PreUnify lists groups of generation-time constraint variables to
-	// unify before solving. Exactness requires every group to be cyclic in
-	// this run's final constraint graph; the intended source is
-	// Result.Condensation from a baseline solve of the same project
-	// (constraint generation is deterministic and mode-independent, and
-	// hint rules only add constraints, so baseline cycles remain cycles
-	// under every hint-consuming variant). Results are unchanged; only
-	// solver effort drops. See solver.preUnify for the full argument.
-	PreUnify [][]Var
 	// DisableCopyElim turns off the pre-solve copy substitution (unifying
 	// single-source, insert-free, unprotected variables into their source;
 	// see solver.substituteCopies). Results are identical either way — the
@@ -75,18 +66,14 @@ type Options struct {
 	// every value — the constraint system is monotone, so every schedule
 	// reaches the same least fixpoint — and all k ≥ 1 runs additionally
 	// produce identical solver-effort and structure counters (the epoch
-	// schedule does not depend on the worker count). Phases that must run
-	// in exact no-unify mode (the rolled-back ablation arm) always use the
-	// sequential engine regardless of this setting.
+	// schedule does not depend on the worker count).
 	SolverWorkers int
 	// Provenance enables the constraint-provenance journal: every issued
 	// constraint records the rule chain that produced it (rule id, source
 	// site, hint origin), queryable through Result.Provenance. Recording is
 	// observational — call graphs, metrics, and effort counters are
 	// byte-identical with it on or off — and costs one nil pointer check
-	// per constraint when disabled. Incompatible with the rolled-back
-	// ablation arm (AnalyzeBothAndAblation), whose rewind would strand
-	// journal entries.
+	// per constraint when disabled.
 	Provenance bool
 	// DegradeFiles names modules whose pre-analysis faulted (panic,
 	// deadline, corrupt source): every hint anchored in one of them is
@@ -139,13 +126,6 @@ type Result struct {
 	// Options.Provenance was requested (on the extended result for the
 	// incremental path). It retains the solved constraint system.
 	Provenance *Provenance
-	// Condensation, set by AnalyzeBoth on the baseline result, lists the
-	// multi-member cycles of the baseline-final constraint graph over
-	// generation-time variables. Feeding it to Options.PreUnify lets later
-	// solves of the same project (the §4 ablation arm, the §6 extension
-	// variants) start condensed instead of rediscovering — and re-paying —
-	// the same cycles.
-	Condensation [][]Var
 }
 
 // Metrics computes the paper's §5 call-graph metrics for this result.
@@ -293,11 +273,6 @@ type analyzer struct {
 	// materialized afterwards (native members, Object.create sites, …).
 	hintTokenEligible func(Token) bool
 
-	// journal, when non-nil, records map insertions made inside an open
-	// rollback window that rollbackTo's watermark sweeps cannot detect
-	// (see beginRollbackWindow).
-	journal *deltaJournal
-
 	// provSites records per-call-site attribution data (callee/receiver/
 	// argument variables, callee kind) when provenance is enabled.
 	provSites map[loc.Loc]provCallSite
@@ -408,9 +383,6 @@ func Analyze(project *modules.Project, opts Options) (*Result, error) {
 	if err := a.generate(); err != nil {
 		return nil, err
 	}
-
-	// Start from known cycle structure, when the caller has it.
-	a.s.preUnify(opts.PreUnify)
 
 	// §6 extension: analyze dynamically generated code observed by the
 	// pre-analysis as additional code of its module.
@@ -776,9 +748,6 @@ func (a *analyzer) loadFromToken(t Token, prop string, dst Var) {
 		return
 	}
 	a.loadSeen[key] = true
-	if a.journal != nil {
-		a.journal.loadSeen = append(a.journal.loadSeen, key)
-	}
 	info := a.tokens[t]
 	if info.kind == tokNative && nativeHasMember(info.name, prop) {
 		// Property reads on natives yield native member tokens (Math.floor,

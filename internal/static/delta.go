@@ -20,12 +20,11 @@
 // and tokens are only ever added — so "remove the dirty file's
 // constraints and resume" would require deleting state the fixpoint
 // already propagated through shared variables, which the engine cannot do
-// exactly (its rollback windows, PR 5, truncate suffixes of an unchanged
-// constraint prefix; an edit invalidates the prefix itself). Re-solving
-// from regenerated constraints is therefore the exactness-preserving
-// delta: AnalyzeBoth is a pure function of (project, options), so the
-// delta path and a from-scratch restart produce byte-identical graphs —
-// the seventh fuzz oracle (internal/fuzz) asserts exactly this per seed.
+// exactly. Re-solving from regenerated constraints is therefore the
+// exactness-preserving delta: AnalyzeBoth is a pure function of
+// (project, options), so the delta path and a from-scratch restart
+// produce byte-identical graphs — the seventh fuzz oracle
+// (internal/fuzz) asserts exactly this per seed.
 package static
 
 import (
@@ -204,14 +203,6 @@ func (s *DeltaSession) inputFingerprint(opts Options) string {
 	wrN(len(files))
 	for _, f := range files {
 		wr(f)
-	}
-	wrN(len(opts.PreUnify))
-	for _, group := range opts.PreUnify {
-		wrN(len(group))
-		for _, v := range group {
-			binary.BigEndian.PutUint64(lenBuf[:], uint64(v))
-			h.Write(lenBuf[:])
-		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

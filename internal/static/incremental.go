@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/callgraph"
 	"repro/internal/loc"
 	"repro/internal/modules"
 	"repro/internal/perf"
@@ -45,41 +44,11 @@ import (
 // (solver-effort counters in the extended result are cumulative across
 // both phases, which is the point: the baseline work is not redone).
 func AnalyzeBoth(project *modules.Project, opts Options) (baseline, extended *Result, err error) {
-	baseline, extended, _, err = analyzeBothArms(project, opts, false)
-	return baseline, extended, err
-}
-
-// AnalyzeBothAndAblation is AnalyzeBoth plus a third arm: after the extended
-// fixpoint it rolls the solver and analyzer back to the baseline fixpoint and
-// resumes once more with the §4 name-only ablation injection, so the three
-// results (baseline, relational-extended, name-only) cost one baseline solve
-// plus two deltas instead of the three full solves of running them
-// separately. The ablation result's call graph and metrics are identical to
-// a from-scratch Analyze(Options{Mode: AblationNameOnly, Hints: opts.Hints}):
-// both solve the least fixpoint of the same monotone constraint system, and
-// name-only injection reads no solved state (only generation-time site
-// tokens, filtered by the same eligibility watermarks both paths share).
-//
-// The rollback forces the delta phases to run with cycle unification
-// disabled (see rollbackPoint), which changes effort counters but not
-// results; opts must not request EvalHints, whose generation phase mutates
-// analyzer state the rollback journal does not cover.
-func AnalyzeBothAndAblation(project *modules.Project, opts Options) (baseline, extended, ablation *Result, err error) {
-	if opts.EvalHints {
-		return nil, nil, nil, fmt.Errorf("static: ablation arm cannot roll back an EvalHints delta")
-	}
-	if opts.Provenance {
-		return nil, nil, nil, fmt.Errorf("static: ablation arm cannot roll back a provenance journal")
-	}
-	return analyzeBothArms(project, opts, true)
-}
-
-func analyzeBothArms(project *modules.Project, opts Options, withAblation bool) (baseline, extended, ablation *Result, err error) {
 	if opts.Mode == Baseline {
-		return nil, nil, nil, fmt.Errorf("static: AnalyzeBoth requires a hint-consuming mode")
+		return nil, nil, fmt.Errorf("static: AnalyzeBoth requires a hint-consuming mode")
 	}
 	if opts.Hints == nil {
-		return nil, nil, nil, fmt.Errorf("static: mode %d requires hints", opts.Mode)
+		return nil, nil, fmt.Errorf("static: mode %d requires hints", opts.Mode)
 	}
 	// Degradation happens before either phase: modules whose pre-analysis
 	// faulted contribute only baseline constraints (see Options.DegradeFiles),
@@ -95,9 +64,8 @@ func analyzeBothArms(project *modules.Project, opts Options, withAblation bool) 
 	a := newAnalyzer(project, Options{Mode: Baseline, SolverWorkers: opts.SolverWorkers,
 		Provenance: opts.Provenance})
 	if err := a.generate(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	genVars := a.s.numVars()
 	preSolveTokens := len(a.tokens)
 	// Copy substitution before the baseline solve is safe for the later
 	// delta phase too: every destination the injected hints (and the eval
@@ -115,13 +83,6 @@ func analyzeBothArms(project *modules.Project, opts Options, withAblation bool) 
 	baseStructure := a.s.structure()
 	baseParallel := a.s.parallelStats()
 	cp := a.s.checkpoint()
-	// Snapshot the baseline-final cycle structure over generation-time
-	// variables (running the full SCC sweep the delta solve would run at
-	// entry anyway). At a fixpoint every cycle's member sets are already
-	// equal, so the sweep moves no tokens and fires no triggers — it is
-	// semantically a no-op here — but its condensation lets later solves of
-	// the same project (ablation arm, §6 extension variants) start unified.
-	condensation := a.s.condensationUpTo(Var(genVars))
 	postSolveTokens := len(a.tokens)
 	entries := a.mainEntries()
 	baseline = &Result{
@@ -138,18 +99,9 @@ func analyzeBothArms(project *modules.Project, opts Options, withAblation bool) 
 		Duration:        time.Since(start),
 		AllocBytes:      perf.TotalAllocBytes() - alloc0,
 		Faults:          a.faults,
-		Condensation:    condensation,
 	}
 
-	// Phase 2 — switch to the extended options and inject the deltas. With
-	// an ablation arm requested, open the rollback window first: it pins the
-	// solver in no-unify mode (exact; only effort differs) so every phase-2
-	// mutation is append-only and can be unwound to re-run phase 2 under the
-	// name-only injection.
-	var rb *analyzerRollback
-	if withAblation {
-		rb = a.beginRollbackWindow(baseline.Graph)
-	}
+	// Phase 2 — switch to the extended options and inject the deltas.
 	deltaStart := time.Now()
 	deltaAlloc0 := perf.TotalAllocBytes()
 	a.opts = opts
@@ -189,168 +141,12 @@ func analyzeBothArms(project *modules.Project, opts Options, withAblation bool) 
 		extended.Provenance = newProvenance(a)
 	}
 
-	// Phase 3 (optional) — rewind to the baseline fixpoint and resume under
-	// the name-only ablation injection. The extended result's graph was
-	// handed out above; rollbackTo gives the analyzer a fresh clone of the
-	// baseline graph to grow, so the extended graph is not disturbed.
-	if withAblation {
-		ablStart := time.Now()
-		ablAlloc0 := perf.TotalAllocBytes()
-		a.rollbackTo(rb)
-		ablOpts := opts
-		ablOpts.Mode = AblationNameOnly
-		a.opts = ablOpts
-		a.hintTokenEligible = func(t Token) bool {
-			return int(t) < preSolveTokens || int(t) >= postSolveTokens
-		}
-		a.injectHints()
-		a.injectModuleHintDeltas()
-		ablSolveStart := time.Now()
-		a.s.solve()
-		ablSolveWall := time.Since(ablSolveStart)
-		ablIters, ablDelivered := a.s.stats()
-		perf.Global().AddIncrementalSolve(0, 0, ablIters-iters, ablDelivered-delivered)
-		ablation = &Result{
-			Graph:           a.cg,
-			MainEntries:     entries,
-			NumVars:         a.s.numVars(),
-			NumTokens:       len(a.tokens),
-			SolveIterations: ablIters,
-			TokensDelivered: ablDelivered,
-			Structure:       a.s.structure(),
-			Parallel:        a.s.parallelStats(),
-			SolveWall:       ablSolveWall,
-			AnalyzedModules: len(a.progs),
-			Duration:        time.Since(ablStart),
-			AllocBytes:      perf.TotalAllocBytes() - ablAlloc0,
-			Faults:          a.faults,
-			DegradedModules: degradedList(opts.DegradeFiles),
-		}
-	}
-
-	finalIters, finalDelivered := a.s.stats()
-	perf.Global().AddSolve(finalIters, finalDelivered)
-	ss := a.s.structure()
+	perf.Global().AddSolve(iters, delivered)
+	ss := extended.Structure
 	perf.Global().AddSolveStructure(ss.CyclesCollapsed, ss.VarsUnified,
 		ss.CopiesSubstituted, ss.EdgesDeduped, ss.RedundantSkipped, ss.SweepVisited)
 	a.recordParallelStats()
-	return baseline, extended, ablation, nil
-}
-
-// deltaJournal records insertions a rollback (see beginRollbackWindow) could
-// not otherwise find: entries whose key and value both predate the window,
-// so the watermark sweeps of rollbackTo cannot identify them as new.
-type deltaJournal struct {
-	loadSeen    []loadKey
-	dynRequires []loc.Loc
-}
-
-// analyzerRollback snapshots the analyzer (and its solver) at the baseline
-// fixpoint so a later rollbackTo can restore it and resume with a different
-// hint-delta variant.
-type analyzerRollback struct {
-	rp     *rollbackPoint
-	nTok   int
-	baseCG *callgraph.Graph
-	opts   Options
-	elig   func(Token) bool
-}
-
-// beginRollbackWindow opens a rollback window at the current (baseline)
-// fixpoint. baseGraph must be a snapshot of the call graph at this point;
-// rollbackTo clones it rather than adopting it, so the caller's copy stays
-// pristine. From here until rollbackTo, the solver runs in no-unify mode and
-// the analyzer journals insertions into the maps whose delta-phase growth a
-// watermark cannot detect (loadSeen and dynRequires, which can gain entries
-// built entirely from pre-window variables and tokens when an old token
-// reaches an old variable's trigger only during the delta).
-func (a *analyzer) beginRollbackWindow(baseGraph *callgraph.Graph) *analyzerRollback {
-	a.journal = &deltaJournal{}
-	return &analyzerRollback{
-		rp:     a.s.rollbackPoint(),
-		nTok:   len(a.tokens),
-		baseCG: baseGraph,
-		opts:   a.opts,
-		elig:   a.hintTokenEligible,
-	}
-}
-
-// rollbackTo restores the analyzer to the fixpoint captured by
-// beginRollbackWindow. Post-window tokens and variables are dropped, every
-// site-keyed map loses the entries that reference them, journaled
-// insertions are deleted, and the call graph is replaced by a clone of the
-// baseline snapshot. Effort counters stay cumulative.
-func (a *analyzer) rollbackTo(rb *analyzerRollback) {
-	a.s.rollbackTo(rb.rp)
-	nVars := rb.rp.nVars
-	nTok := rb.nTok
-	a.tokens = a.tokens[:nTok]
-	// Maps keyed or valued by tokens: drop entries minted during the delta.
-	for site, t := range a.siteToken {
-		if int(t) >= nTok {
-			delete(a.siteToken, site)
-		}
-	}
-	for f, t := range a.fnToken {
-		if int(t) >= nTok {
-			delete(a.fnToken, f)
-		}
-	}
-	for name, t := range a.natives {
-		if int(t) >= nTok {
-			delete(a.natives, name)
-		}
-	}
-	for t := range a.tokenBehaviors {
-		if int(t) >= nTok {
-			delete(a.tokenBehaviors, t)
-		}
-	}
-	// Maps valued by variables: solve-time misses always allocate a fresh
-	// variable, so any entry holding a post-window variable was created
-	// during the delta (and no pre-window entry can be overwritten with a
-	// new variable — map hits return the existing one).
-	for k, v := range a.propVars {
-		if int(v) >= nVars {
-			delete(a.propVars, k)
-		}
-	}
-	for t, v := range a.protoVars {
-		if int(v) >= nVars {
-			delete(a.protoVars, t)
-		}
-	}
-	for t, fi := range a.fnInfos {
-		// An fnInfo's variables are allocated together; ret is among them.
-		if int(fi.ret) >= nVars {
-			delete(a.fnInfos, t)
-		}
-	}
-	for m, v := range a.evalResults {
-		if int(v) >= nVars {
-			delete(a.evalResults, m)
-		}
-	}
-	for n, v := range a.globals {
-		if int(v) >= nVars {
-			delete(a.globals, n)
-		}
-	}
-	for s, v := range a.dynReads {
-		if int(v) >= nVars {
-			delete(a.dynReads, s)
-		}
-	}
-	for _, k := range a.journal.loadSeen {
-		delete(a.loadSeen, k)
-	}
-	for _, s := range a.journal.dynRequires {
-		delete(a.dynRequires, s)
-	}
-	a.journal = &deltaJournal{}
-	a.cg = rb.baseCG.Clone()
-	a.opts = rb.opts
-	a.hintTokenEligible = rb.elig
+	return baseline, extended, nil
 }
 
 // injectModuleHintDeltas applies module-load hints to dynamic-specifier

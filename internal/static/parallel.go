@@ -82,8 +82,8 @@ package static
 // between epochs on the solver goroutine, exactly like the sequential
 // engine runs it between pops.
 //
-// The exact no-unify mode (rollback windows, the reference engine) falls
-// back to the sequential pop loop — see solve().
+// The no-unify reference engine falls back to the sequential pop loop —
+// see solve().
 
 import (
 	"sync"

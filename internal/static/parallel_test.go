@@ -241,11 +241,10 @@ func TestParallelConcurrentScanPath(t *testing.T) {
 	}
 }
 
-// TestParallelRollbackWindowFallsBackSequential checks the exact no-unify
-// configurations (reference solver, rollback windows) never enter the
-// parallel engine even when workers are configured: the dispatch in solve()
-// must route them to the sequential loop.
-func TestParallelRollbackWindowFallsBackSequential(t *testing.T) {
+// TestParallelReferenceSolverFallsBackSequential checks the exact no-unify
+// reference solver never enters the parallel engine even when workers are
+// configured: the dispatch in solve() must route it to the sequential loop.
+func TestParallelReferenceSolverFallsBackSequential(t *testing.T) {
 	s := newReferenceSolver()
 	s.configureParallel(4)
 	randomOps(7, s, 30, 2)

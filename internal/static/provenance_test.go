@@ -163,26 +163,6 @@ func TestProvenanceExplainChain(t *testing.T) {
 	}
 }
 
-// TestProvenanceAblationRejected: the ablation arm replays the solve with
-// rollback windows, which cannot unwind a journal; the combination is a
-// configuration error, not a silent wrong answer.
-func TestProvenanceAblationRejected(t *testing.T) {
-	project := motivating()
-	ar, err := approx.Run(project, approx.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, err = AnalyzeBothAndAblation(project, Options{
-		Mode: WithHints, Hints: ar.Hints, Provenance: true,
-	})
-	if err == nil {
-		t.Fatal("AnalyzeBothAndAblation accepted Provenance")
-	}
-	if !strings.Contains(err.Error(), "provenance") {
-		t.Errorf("rejection does not name provenance: %v", err)
-	}
-}
-
 // TestMiddlewareElementConflation is the minimized regression test for the
 // gap class fixed in this change: a callback pushed into an array and
 // invoked through a computed read (the middleware pattern). The $elem

@@ -152,10 +152,9 @@ type solver struct {
 	// mode, which never sweeps.
 	sweepRoots []Var
 	// par, when non-nil, routes solve through the sharded epoch engine
-	// (parallel.go). The exact no-unify mode (rollback windows, the
-	// reference engine) always takes the sequential pop loop: rollback
-	// depends on append-only mutation, and the epoch engine's value is
-	// moot without collapsing anyway.
+	// (parallel.go). The no-unify reference engine always takes the
+	// sequential pop loop: the epoch engine's value is moot without
+	// collapsing.
 	par *parallelEngine
 	// Reusable sweep scratch (Tarjan index/lowlink/stacks), kept across
 	// sweeps to avoid re-allocating O(nVars) arrays every interval.
@@ -277,14 +276,6 @@ func (b *tokenBits) grow(w int32) {
 	words := make([]uint64, 2*(hi-lo))
 	copy(words[2*(b.base-lo):], b.words)
 	b.base, b.words = lo, words
-}
-
-// remove clears both of t's bits (rollback truncation).
-func (b *tokenBits) remove(t Token) {
-	if k := b.word(t); k < uint(len(b.words)) {
-		b.words[k] &^= 1 << (t & 63)
-		b.words[k+1] &^= 1 << (t & 63)
-	}
 }
 
 // hasToken reports whether t ∈ ⟦v⟧ for this state.
@@ -724,9 +715,9 @@ func (s *solver) collapse(members []Var) {
 	}
 	s.cyclesCollapsed++
 	// Contraction can close new representative-level cycles when the group
-	// is not itself an SCC (preUnify's set-equal classes, copy chains), and
-	// every such cycle runs through the winner, so the next sweep starts
-	// there too. collapseAllSCCs drops the roots its own collapses add.
+	// is not itself an SCC (copy-substitution chains), and every such cycle
+	// runs through the winner, so the next sweep starts there too.
+	// collapseAllSCCs drops the roots its own collapses add.
 	s.noteSweepRoot(winner)
 	// Point every member at the winner first, so intra-group edges resolve
 	// to self (and are dropped) while the contents merge. The protected flag
@@ -1024,45 +1015,6 @@ func (s *solver) collapseAllSCCs() {
 	s.sweepRoots = s.sweepRoots[:0]
 }
 
-// preUnify unifies the given variable groups before (or during) a solve.
-// Exactness contract: every group's members must have equal sets at this
-// run's *final* least fixpoint. Then the unification constraints (v ⊆ w and
-// w ⊆ v for group mates) already hold at that fixpoint, so adding them up
-// front cannot change it — the original fixpoint satisfies the augmented
-// system, and monotonicity gives inclusion both ways. The intended source
-// of groups is condensationUpTo from a baseline solve of the same project,
-// whose classes are either cycles (hint rules only ever add constraints, so
-// baseline cycles stay cycles — and set-equal — in every hint-consuming
-// variant) or copy-substitution chains (whose members receive flow only
-// from the class source in every variant, because all later-arriving
-// constraint targets are protected; see substituteCopies). Unknown variable
-// ids are skipped, making a stale group set safe (it can only
-// under-collapse, never miscollapse).
-func (s *solver) preUnify(groups [][]Var) {
-	if s.noUnify {
-		return
-	}
-	var members []Var
-	for _, g := range groups {
-		members = members[:0]
-		seen := map[Var]struct{}{}
-		for _, v := range g {
-			if int(v) >= s.nVars {
-				continue
-			}
-			r := s.find(v)
-			if _, dup := seen[r]; dup {
-				continue
-			}
-			seen[r] = struct{}{}
-			members = append(members, r)
-		}
-		if len(members) >= 2 {
-			s.collapse(members)
-		}
-	}
-}
-
 // substituteCopies performs offline variable substitution (in the spirit of
 // Rountev & Chandra): every representative whose in-flow is a single
 // distinct source edge, whose token set is empty (no direct inserts), and
@@ -1161,148 +1113,6 @@ func (s *solver) substituteCopies() {
 		s.copiesSubstituted += int64(len(g) - 1)
 		s.collapse(g)
 	}
-}
-
-// condensationUpTo runs a full SCC sweep and returns the multi-member
-// union-find classes restricted to variables below limit (the
-// generation-time watermark), each ascending, ordered by smallest member.
-// The result is a deterministic snapshot of the solved graph's cycle
-// structure, suitable for preUnify on a later solve of any superset of
-// this constraint system.
-func (s *solver) condensationUpTo(limit Var) [][]Var {
-	if s.noUnify {
-		return nil
-	}
-	if int(limit) > s.nVars {
-		limit = Var(s.nVars)
-	}
-	s.collapseAllSCCs()
-	byRep := map[Var]int{}
-	var groups [][]Var
-	for v := Var(0); v < limit; v++ {
-		r := s.find(v)
-		if gi, ok := byRep[r]; ok {
-			groups[gi] = append(groups[gi], v)
-		} else {
-			byRep[r] = len(groups)
-			groups = append(groups, []Var{v})
-		}
-	}
-	out := groups[:0]
-	for _, g := range groups {
-		if len(g) >= 2 {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
-// ----------------------------------------------------------------- rollback
-
-// rollbackPoint snapshots the solver at a drained fixpoint so a later
-// rollbackTo can restore it exactly. The snapshot is O(nVars) lengths, not
-// a copy of any set: it relies on every post-snapshot mutation being
-// append-only, which holds only while unification is disabled (noUnify) —
-// merges rewrite parents, free merged members' contents, and swap pending
-// tokens out of append order, none of which a length snapshot can undo.
-// rollbackPoint therefore flips the solver into its no-unify mode; the
-// caller keeps it there for every phase it intends to roll back. Solving
-// without unification is exact (collapsing is only an effort optimization),
-// so results are unaffected.
-type rollbackPoint struct {
-	nVars      int
-	tokensLen  []int32
-	edgesLen   []int32
-	trigLen    []int32
-	bitsNil    []bool
-	edgeHasNil []bool
-	nextSweep  int64
-}
-
-// rollbackPoint captures the current drained fixpoint and opens the
-// append-only (no-unify) window that makes rollbackTo possible.
-func (s *solver) rollbackPoint() *rollbackPoint {
-	s.noUnify = true
-	s.sweepRoots = nil // no sweep runs again
-	rp := &rollbackPoint{
-		nVars:      s.nVars,
-		tokensLen:  make([]int32, s.nVars),
-		edgesLen:   make([]int32, s.nVars),
-		trigLen:    make([]int32, s.nVars),
-		bitsNil:    make([]bool, s.nVars),
-		edgeHasNil: make([]bool, s.nVars),
-		nextSweep:  s.nextSweep,
-	}
-	for v := 0; v < s.nVars; v++ {
-		st := s.state(Var(v))
-		rp.tokensLen[v] = int32(len(st.tokens))
-		rp.edgesLen[v] = int32(len(st.edges))
-		rp.trigLen[v] = int32(len(st.triggers))
-		rp.bitsNil[v] = st.bits == nil
-		rp.edgeHasNil[v] = st.edgeHas == nil
-	}
-	return rp
-}
-
-// rollbackTo restores the solver to rp: post-snapshot variables are
-// released, and every surviving state's token, edge, and trigger lists are
-// truncated to their snapshot lengths (with spilled membership indexes
-// shrunk or dropped to match). Valid only if the solver stayed in no-unify
-// mode since rp was taken and the queue is drained (both phases ended at a
-// fixpoint). Effort counters are deliberately left cumulative — rolled-back
-// work was still performed.
-func (s *solver) rollbackTo(rp *rollbackPoint) {
-	if !s.noUnify {
-		panic("static: rollbackTo outside the no-unify window")
-	}
-	if s.head != len(s.queue) && len(s.queue) != 0 {
-		panic("static: rollbackTo with undrained queue")
-	}
-	for v := rp.nVars; v < s.nVars; v++ {
-		*s.state(Var(v)) = varState{}
-	}
-	s.nVars = rp.nVars
-	s.parent = s.parent[:rp.nVars]
-	s.protected = s.protected[:rp.nVars]
-	for v := 0; v < rp.nVars; v++ {
-		st := s.state(Var(v))
-		if st.merged {
-			continue // frozen before the snapshot; untouched since
-		}
-		tl := int(rp.tokensLen[v])
-		if len(st.tokens) > tl {
-			if st.bits != nil {
-				for _, t := range st.tokens[tl:] {
-					st.bits.remove(t)
-				}
-			}
-			st.tokens = st.tokens[:tl]
-		}
-		if st.bits != nil && rp.bitsNil[v] {
-			st.bits = nil
-		}
-		// At a drained fixpoint every token's queue entry was processed, so
-		// the surviving processed bits already cover exactly tokens[:tl].
-		st.delivered = tl
-		el := int(rp.edgesLen[v])
-		if len(st.edges) > el {
-			if st.edgeHas != nil {
-				for _, e := range st.edges[el:] {
-					delete(st.edgeHas, e)
-				}
-			}
-			st.edges = st.edges[:el]
-		}
-		if st.edgeHas != nil && rp.edgeHasNil[v] {
-			st.edgeHas = nil
-		}
-		if len(st.triggers) > int(rp.trigLen[v]) {
-			st.triggers = st.triggers[:rp.trigLen[v]]
-		}
-	}
-	s.queue = s.queue[:0]
-	s.head = 0
-	s.nextSweep = rp.nextSweep
 }
 
 // --------------------------------------------------------------- inspection

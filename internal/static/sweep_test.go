@@ -204,38 +204,21 @@ func TestSweepVisitedDeterministic(t *testing.T) {
 	}
 }
 
-// TestNoUnifyRecordsNoSweepRoots: solvers that never sweep — the reference
-// engine and a solver inside a rollback window — must not accumulate
-// sweep roots, or the list would grow for as long as constraints arrive.
+// TestNoUnifyRecordsNoSweepRoots: the reference engine never sweeps, so
+// it must not accumulate sweep roots, or the list would grow for as long
+// as constraints arrive.
 func TestNoUnifyRecordsNoSweepRoots(t *testing.T) {
 	ref := newReferenceSolver()
 	randomOps(3, ref, 60, 3)
 	if n := len(ref.sweepRoots); n != 0 {
 		t.Fatalf("reference solver holds %d sweep roots after solving", n)
 	}
-
-	s := newSolver()
-	a, b, c := s.newVar(), s.newVar(), s.newVar()
-	s.addEdge(a, b)
-	s.addToken(a, 1)
-	s.solve()
-	s.addEdge(b, c) // pending root when the window opens
-	s.rollbackPoint()
-	s.addEdge(c, a)
-	s.addToken(c, 2)
-	s.solve()
-	if n := len(s.sweepRoots); n != 0 {
-		t.Fatalf("solver in a rollback window holds %d sweep roots after solving", n)
-	}
-	if s.size(a) != 2 {
-		t.Fatalf("a has %d tokens, want 2", s.size(a))
-	}
 }
 
 // TestCollapseWinnerIsSweepRoot: contracting a group that is not an SCC
-// (preUnify's set-equal classes, copy-substitution chains) can close a
-// cycle without adding an edge. The winner is recorded as a sweep root, so
-// the next sweep still finds that cycle.
+// (copy-substitution chains) can close a cycle without adding an edge. The
+// winner is recorded as a sweep root, so the next sweep still finds that
+// cycle.
 func TestCollapseWinnerIsSweepRoot(t *testing.T) {
 	s := newSolver()
 	a, b, c := s.newVar(), s.newVar(), s.newVar()
@@ -243,7 +226,7 @@ func TestCollapseWinnerIsSweepRoot(t *testing.T) {
 	s.addEdge(b, c)
 	s.addToken(a, 1)
 	s.solve() // sweeps a→b→c: acyclic
-	s.preUnify([][]Var{{a, c}})
+	s.collapse([]Var{a, c})
 	if len(s.sweepRoots) == 0 {
 		t.Fatal("collapse recorded no sweep root")
 	}

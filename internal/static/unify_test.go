@@ -132,153 +132,6 @@ func TestUnifyingSolverMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSolverRollbackRestoresFixpoint drives the rollback window the
-// multi-variant analysis uses: solve a random base system, open a rollback
-// point, solve a first delta, roll back, and check (a) every set returned
-// to its base fixpoint and (b) solving a second, different delta on the
-// rolled-back state matches a fresh engine that solved base + second delta
-// from scratch — including the re-firing of base-registered triggers for
-// the second delta's tokens.
-func TestSolverRollbackRestoresFixpoint(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		s := newSolver()
-		nVars := 30 + int(seed)
-		cps, fired := randomOps(seed, s, nVars, 2)
-		base := make([][]Token, nVars)
-		for v := 0; v < nVars; v++ {
-			base[v] = sortedTokens(s.tokens(Var(v)))
-		}
-		baseFired := map[fireKey]int{}
-		for k, n := range fired {
-			baseFired[k] = n
-		}
-
-		rp := s.rollbackPoint()
-		// First delta: more random constraints on top.
-		rng := rand.New(rand.NewSource(seed + 1000))
-		for i := 0; i < 80; i++ {
-			if rng.Intn(3) == 0 {
-				s.addToken(Var(rng.Intn(nVars)), Token(100+rng.Intn(40)))
-			} else {
-				s.addEdge(Var(rng.Intn(nVars)), Var(rng.Intn(nVars)))
-			}
-		}
-		s.solve()
-		s.rollbackTo(rp)
-		checkTokenBits(t, s)
-		for v := 0; v < nVars; v++ {
-			if got := sortedTokens(s.tokens(Var(v))); !tokensEqual(got, base[v]) {
-				t.Fatalf("seed %d: var %d after rollback %v, want base %v", seed, v, got, base[v])
-			}
-			if cp := cps[len(cps)-1]; !tokensEqual(sortedTokens(s.tokensAt(cp, Var(v))), base[v]) {
-				t.Fatalf("seed %d: var %d checkpoint view disturbed by rollback", seed, v)
-			}
-		}
-		// The first delta's trigger firings are rolled back too: restore the
-		// observer map to its base contents before the second delta.
-		for k := range fired {
-			delete(fired, k)
-		}
-		for k, n := range baseFired {
-			fired[k] = n
-		}
-
-		// Second delta on the rolled-back engine vs. a fresh engine solving
-		// base + second delta. The fresh engine runs with unification (the
-		// rolled-back one is pinned in no-unify mode) — results must agree
-		// regardless.
-		applyDelta2 := func(s2 *solver, n int) {
-			rng2 := rand.New(rand.NewSource(seed + 2000))
-			for i := 0; i < 80; i++ {
-				if rng2.Intn(3) == 0 {
-					s2.addToken(Var(rng2.Intn(n)), Token(200+rng2.Intn(40)))
-				} else {
-					s2.addEdge(Var(rng2.Intn(n)), Var(rng2.Intn(n)))
-				}
-			}
-			s2.solve()
-		}
-		applyDelta2(s, nVars)
-		checkTokenBits(t, s)
-
-		sf := newSolver()
-		_, firedF := randomOps(seed, sf, nVars, 2)
-		applyDelta2(sf, nVars)
-
-		for v := 0; v < nVars; v++ {
-			got := sortedTokens(s.tokens(Var(v)))
-			want := sortedTokens(sf.tokens(Var(v)))
-			if !tokensEqual(got, want) {
-				t.Fatalf("seed %d: var %d rolled-back+delta2 %v, fresh %v", seed, v, got, want)
-			}
-		}
-		if len(fired) != len(firedF) {
-			t.Fatalf("seed %d: trigger deliveries differ after rollback: %d vs fresh %d", seed, len(fired), len(firedF))
-		}
-		for k, n := range fired {
-			if n != 1 || firedF[k] != 1 {
-				t.Fatalf("seed %d: delivery %v fired %d (fresh %d), want exactly once", seed, k, n, firedF[k])
-			}
-		}
-	}
-}
-
-// TestAblationArmMatchesFromScratch checks the rolled-back third phase of
-// AnalyzeBothAndAblation against a from-scratch name-only analysis on every
-// write-hint benchmark of the dynamic-CG subset (the projects whose
-// ablation arm actually differs from the relational one), and that the
-// baseline and extended arms are not disturbed by sharing a solver with it.
-func TestAblationArmMatchesFromScratch(t *testing.T) {
-	checked := 0
-	for _, b := range corpus.WithDynCG() {
-		ar, err := approx.Run(b.Project, approx.Options{})
-		if err != nil {
-			t.Fatalf("%s: approx: %v", b.Project.Name, err)
-		}
-		if !WriteHintsApply(ar.Hints) {
-			continue
-		}
-		opts := Options{Mode: WithHints, Hints: ar.Hints}
-		base2, ext2, abl2, err := AnalyzeBothAndAblation(b.Project, opts)
-		if err != nil {
-			t.Fatalf("%s: AnalyzeBothAndAblation: %v", b.Project.Name, err)
-		}
-		abl1, err := Analyze(b.Project, Options{Mode: AblationNameOnly, Hints: ar.Hints})
-		if err != nil {
-			t.Fatalf("%s: from-scratch ablation: %v", b.Project.Name, err)
-		}
-		if !abl1.Graph.Equal(abl2.Graph) {
-			t.Errorf("%s: ablation call graphs differ (from-scratch %d edges, rolled-back %d)",
-				b.Project.Name, abl1.Graph.NumEdges(), abl2.Graph.NumEdges())
-		}
-		if m1, m2 := abl1.Metrics(), abl2.Metrics(); m1 != m2 {
-			t.Errorf("%s: ablation metrics differ: from-scratch %v, rolled-back %v", b.Project.Name, m1, m2)
-		}
-		if abl1.NumVars != abl2.NumVars || abl1.NumTokens != abl2.NumTokens {
-			t.Errorf("%s: ablation system size differs: from-scratch %d vars/%d tokens, rolled-back %d/%d",
-				b.Project.Name, abl1.NumVars, abl1.NumTokens, abl2.NumVars, abl2.NumTokens)
-		}
-		base1, err := Analyze(b.Project, Options{Mode: Baseline})
-		if err != nil {
-			t.Fatalf("%s: baseline: %v", b.Project.Name, err)
-		}
-		ext1, err := Analyze(b.Project, opts)
-		if err != nil {
-			t.Fatalf("%s: extended: %v", b.Project.Name, err)
-		}
-		if !base1.Graph.Equal(base2.Graph) || !ext1.Graph.Equal(ext2.Graph) {
-			t.Errorf("%s: baseline/extended arms disturbed by the ablation phase", b.Project.Name)
-		}
-		checked++
-		if testing.Short() && checked >= 3 {
-			return
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no write-hint benchmark in the dynamic-CG subset; the test checked nothing")
-	}
-}
-
 // TestCopyElimEquivalence checks that offline copy substitution is
 // invisible in results: with and without it, baseline and extended
 // analyses produce identical call graphs, metrics, and system sizes on a
