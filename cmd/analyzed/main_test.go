@@ -269,7 +269,7 @@ func TestConcurrentSessionsMixedRequests(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sw := i % 3 // mix sequential and epoch engines per session
+			sw := i % 3 // mix solver-worker counts per session
 			status, full := post(t, ts, analyzeRequest{Project: testProjectPayload(), SolverWorkers: &sw})
 			if status != http.StatusOK {
 				errs <- fmt.Sprintf("worker %d: full analysis status %d", i, status)

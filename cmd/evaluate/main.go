@@ -105,7 +105,7 @@ func main() {
 		whyMiss  = flag.Bool("why-missed", false, "root-cause every dynamic edge the extended static graph misses (provenance engine) and print the ranked fix list")
 		csvDir   = flag.String("csv", "", "also write figure/table data as CSV files into this directory")
 		workers  = flag.Int("workers", 0, "parallel benchmark workers (0 = NumCPU)")
-		solverW  = flag.Int("solver-workers", 0, "constraint-solver scan workers per benchmark (0 = sequential engine; >=1 the sharded epoch engine — reports are identical at every value)")
+		solverW  = flag.Int("solver-workers", 0, "scan workers of the sharded epoch solver per benchmark (<= 1 = one inline worker — reports are identical at every value)")
 		mega     = flag.Bool("mega", false, "run the mega-tier solver-scaling benchmark instead of the corpus experiments; with -benchjson the perf.ParallelSnapshot is written there (BENCH_parallel.json)")
 		megaMods = flag.Int("mega-modules", 0, "mega-tier module count (0 = corpus.DefaultMegaModules)")
 		incr     = flag.Bool("incremental", true, "solve baseline once and resume with hint deltas (-incremental=false forces the legacy two-pass analysis; reports are identical)")

@@ -77,8 +77,8 @@ func approxKey(fp string, opts Options) string {
 
 // outcomeKey is the artifact key of a full benchmark evaluation. It covers
 // every option that shapes the Outcome; Workers and SolverWorkers are
-// excluded because outcomes are proven identical across both (PR 1/PR 6
-// determinism guarantees, asserted corpus-wide in CI).
+// excluded because outcomes are identical at every value of both, 0
+// included (asserted corpus-wide by the determinism tests).
 func outcomeKey(fp string, opts Options, b *corpus.Benchmark) string {
 	return cache.Fingerprint("outcome", schemaVersion, fp,
 		fmt.Sprintf("dyn=%t twopass=%t abl=%t", opts.WithDynCG && b.HasDynCG, opts.TwoPass, opts.WithAblation),

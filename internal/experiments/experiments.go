@@ -293,11 +293,11 @@ type Options struct {
 	// hints apply, none otherwise), so a later RunAblationReusing pass
 	// consumes it without solving anything.
 	WithAblation bool
-	// SolverWorkers selects the constraint-solver propagation engine per
-	// benchmark: 0 is the sequential pop loop, >= 1 the sharded epoch
-	// engine with that many scan workers (see internal/static/parallel.go).
-	// Reports are identical for every value; this multiplies with Workers,
-	// so corpus runs usually pick one axis of parallelism, not both.
+	// SolverWorkers is the scan-worker count of the sharded epoch engine
+	// that solves each benchmark (see internal/static/parallel.go); values
+	// <= 1 run one inline worker. Reports and counters are identical for
+	// every value; this multiplies with Workers, so corpus runs usually pick
+	// one axis of parallelism, not both.
 	SolverWorkers int
 	// Cache attaches a persistent artifact store (internal/cache): parses,
 	// hint sets, and whole outcomes of fault-free runs are written there

@@ -13,11 +13,11 @@ import (
 	"repro/internal/static"
 )
 
-// soundnessSolverWorkers selects the solver engine for the corpus
+// soundnessSolverWorkers selects the solver-worker count for the corpus
 // soundness sweep via REPRO_SOLVER_WORKERS, so CI can run the identical
-// oracle against the sequential engine and the parallel epoch engine. The
-// known-gap snapshot must hold verbatim for every value: the engines
-// produce identical call graphs.
+// oracle with the epoch engine inline and concurrent. The known-gap
+// snapshot must hold verbatim for every value: the call graphs are
+// identical at every worker count.
 func soundnessSolverWorkers(t *testing.T) int {
 	v := os.Getenv("REPRO_SOLVER_WORKERS")
 	if v == "" {

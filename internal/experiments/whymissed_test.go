@@ -52,7 +52,7 @@ func TestWhyMissedAttributionComplete(t *testing.T) {
 }
 
 // TestWhyMissedDeterministicAcrossWorkers renders the full attribution
-// report under the sequential engine and the parallel epoch engine: the
+// report at several solver-worker counts, 0 (the default) included: the
 // output — causes, frontiers, chains, fix ranking — must be byte-identical
 // at every -solver-workers value.
 func TestWhyMissedDeterministicAcrossWorkers(t *testing.T) {

@@ -79,7 +79,7 @@ type Counters struct {
 	redundantSkipped  atomic.Int64
 	sweepVisited      atomic.Int64
 
-	// Parallel-solver activity (zero when the sequential engine ran):
+	// Epoch-engine activity (zero when no unifying solve ran):
 	// epochs crossed, chunks stolen across workers, deliveries whose target
 	// landed in a different shard than the source, concurrent Tarjan sweeps
 	// launched, and the wall time split between the pipeline phases — the
@@ -284,7 +284,7 @@ type Snapshot struct {
 	// (deterministic, identical at every solver-worker count).
 	SweepVisited int64 `json:"sweep_visited,omitempty"`
 
-	// Parallel-solver activity (zero when the sequential engine ran).
+	// Epoch-engine activity (zero when no unifying solve ran).
 	// SolverEpochs, SolverCrossShard, and SolverAsyncSweeps are
 	// deterministic for a given worker count; SolverSteals and the phase
 	// times (scan+winnow / parallel apply / serial tail / sweep overlap)

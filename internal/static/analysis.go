@@ -54,19 +54,12 @@ type Options struct {
 	// hint should only be produced when no hints would otherwise be
 	// produced").
 	UnknownArgHints bool
-	// DisableCopyElim turns off the pre-solve copy substitution (unifying
-	// single-source, insert-free, unprotected variables into their source;
-	// see solver.substituteCopies). Results are identical either way — the
-	// switch exists so differential tests can compare the substituting run
-	// against the plain engine.
-	DisableCopyElim bool
-	// SolverWorkers selects the propagation engine. 0 (the default) runs
-	// the sequential pop loop; k ≥ 1 runs the sharded epoch engine
-	// (parallel.go) with k scan workers. Results are byte-identical for
-	// every value — the constraint system is monotone, so every schedule
-	// reaches the same least fixpoint — and all k ≥ 1 runs additionally
-	// produce identical solver-effort and structure counters (the epoch
-	// schedule does not depend on the worker count).
+	// SolverWorkers is the scan-worker count of the sharded epoch engine
+	// (parallel.go) that solves every analysis; values ≤ 1 run one inline
+	// worker. Results and solver-effort, structure and epoch counters are
+	// identical for every value, 0 included: the epoch schedule does not
+	// depend on the worker count. Only wall time and the scheduling
+	// diagnostics in Result.Parallel change.
 	SolverWorkers int
 	// Provenance enables the constraint-provenance journal: every issued
 	// constraint records the rule chain that produced it (rule id, source
@@ -75,6 +68,11 @@ type Options struct {
 	// byte-identical with it on or off — and costs one nil pointer check
 	// per constraint when disabled.
 	Provenance bool
+	// reference makes the analysis run on the no-unify reference solver
+	// (newReferenceSolver: no cycle collapsing, no copy substitution), the
+	// oracle the analysis-level differential tests compare the epoch
+	// engine's call graphs against.
+	reference bool
 	// DegradeFiles names modules whose pre-analysis faulted (panic,
 	// deadline, corrupt source): every hint anchored in one of them is
 	// dropped before injection, so those modules fall back to baseline-only
@@ -101,8 +99,9 @@ type Result struct {
 	// Structure reports the solver's cycle-collapse activity for this run
 	// (cumulative across phases on the incremental path).
 	Structure StructureStats
-	// Parallel reports the epoch engine's activity; zero when the
-	// sequential engine ran (SolverWorkers == 0).
+	// Parallel reports the epoch engine's activity: epochs, cross-shard
+	// deliveries and async sweeps are identical at every SolverWorkers
+	// value; steals and phase times depend on scheduling.
 	Parallel ParallelSolveStats
 	// SolveWall is the wall-clock time spent inside solver fixpoint
 	// propagation for this result's phase(s) — the quantity the parallel
@@ -287,10 +286,14 @@ type analyzer struct {
 
 // newAnalyzer builds an analyzer with empty state.
 func newAnalyzer(project *modules.Project, opts Options) *analyzer {
+	s := newSolver()
+	if opts.reference {
+		s = newReferenceSolver()
+	}
 	a := &analyzer{
 		project:        project,
 		opts:           opts,
-		s:              newSolver(),
+		s:              s,
 		progs:          map[string]*ast.Program{},
 		siteToken:      map[loc.Loc]Token{},
 		fnToken:        map[*ast.FuncLit]Token{},
@@ -321,14 +324,12 @@ func newAnalyzer(project *modules.Project, opts Options) *analyzer {
 	return a
 }
 
-// recordParallelStats flushes the epoch engine's counters (when it ran) to
-// the global perf counters and returns them for the Result.
+// recordParallelStats flushes the epoch engine's counters to the global
+// perf counters and returns them for the Result.
 func (a *analyzer) recordParallelStats() ParallelSolveStats {
 	ps := a.s.parallelStats()
-	if a.s.par != nil {
-		perf.Global().AddSolverParallel(ps.Epochs, ps.Steals, ps.CrossShard, ps.AsyncSweeps,
-			ps.ScanNS, ps.ApplyNS, ps.TailNS, ps.SweepOverlapNS)
-	}
+	perf.Global().AddSolverParallel(ps.Epochs, ps.Steals, ps.CrossShard, ps.AsyncSweeps,
+		ps.ScanNS, ps.ApplyNS, ps.TailNS, ps.SweepOverlapNS)
 	return ps
 }
 
@@ -398,9 +399,7 @@ func Analyze(project *modules.Project, opts Options) (*Result, error) {
 	// injection so injection-added edges count toward in-degrees; every
 	// constraint that can still arrive (solve-time triggers) targets
 	// protected variables only.
-	if !opts.DisableCopyElim {
-		a.s.substituteCopies()
-	}
+	a.s.substituteCopies()
 
 	// Solve to fixpoint.
 	solveStart := time.Now()

@@ -11,9 +11,8 @@ import (
 // the full analysis and pins the end-to-end behavior the tier exists for:
 // the ring constraints actually collapse (cycles_collapsed > 0) and the
 // deliveries queued to ring members before their collapse are
-// short-circuited afterwards (redundant_deliveries_skipped > 0) — on the
-// sequential engine and identically-resulting on the epoch engine at every
-// worker count.
+// short-circuited afterwards (redundant_deliveries_skipped > 0) — at every
+// worker count, with the call graph of the no-unify reference.
 func TestCyclicTierRedundantSkipped(t *testing.T) {
 	spec := testgen.GenCyclicProject(7, 3, 5)
 	project := &modules.Project{
@@ -23,15 +22,9 @@ func TestCyclicTierRedundantSkipped(t *testing.T) {
 		MainPrefix:  "/app",
 	}
 
-	ref, err := Analyze(project, Options{Mode: Baseline})
+	ref, err := Analyze(project, Options{Mode: Baseline, reference: true})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ref.Structure.CyclesCollapsed == 0 {
-		t.Fatal("cyclic tier collapsed no cycles — rings did not form constraint cycles")
-	}
-	if ref.Structure.RedundantSkipped == 0 {
-		t.Fatal("cyclic tier skipped no redundant deliveries — the counter's regression workload is dead")
 	}
 
 	for _, workers := range workerCounts {
@@ -40,13 +33,13 @@ func TestCyclicTierRedundantSkipped(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !got.Graph.Equal(ref.Graph) {
-			t.Fatalf("workers %d: call graph differs from sequential on cyclic tier", workers)
-		}
-		if got.Structure.RedundantSkipped == 0 {
-			t.Fatalf("workers %d: no redundant deliveries skipped on cyclic tier", workers)
+			t.Fatalf("workers %d: call graph differs from the reference on cyclic tier", workers)
 		}
 		if got.Structure.CyclesCollapsed == 0 {
-			t.Fatalf("workers %d: no cycles collapsed on cyclic tier", workers)
+			t.Fatalf("workers %d: cyclic tier collapsed no cycles — rings did not form constraint cycles", workers)
+		}
+		if got.Structure.RedundantSkipped == 0 {
+			t.Fatalf("workers %d: cyclic tier skipped no redundant deliveries — the counter's regression workload is dead", workers)
 		}
 	}
 }

@@ -152,7 +152,7 @@ func (s *DeltaSession) dirtyCount() int {
 // its element count and every string is length-framed, so section
 // boundaries cannot alias with entry values. SolverWorkers is deliberately
 // excluded — the epoch engine is report- and counter-identical at every
-// worker count (see Options.SolverWorkers).
+// worker count, 0 included (see Options.SolverWorkers).
 func (s *DeltaSession) inputFingerprint(opts Options) string {
 	h := sha256.New()
 	var lenBuf [8]byte
@@ -182,9 +182,9 @@ func (s *DeltaSession) inputFingerprint(opts Options) string {
 		wr(path)
 		wr(p.Files[path])
 	}
-	wr(fmt.Sprintf("opts %d %t %t %t %t %t", opts.Mode,
+	wr(fmt.Sprintf("opts %d %t %t %t %t", opts.Mode,
 		opts.DisableDPR, opts.DisableModuleHints, opts.EvalHints,
-		opts.UnknownArgHints, opts.DisableCopyElim))
+		opts.UnknownArgHints))
 	if opts.Hints != nil {
 		var hj bytes.Buffer
 		_ = opts.Hints.WriteJSON(&hj)

@@ -112,16 +112,16 @@ func TestDeltaSessionOptionsInvalidate(t *testing.T) {
 	if _, _, _, err := s.Analyze(Options{Mode: WithHints, Hints: hints.New()}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, reused, err := s.Analyze(Options{Mode: WithHints, Hints: hints.New(), DisableCopyElim: true})
+	_, _, reused, err := s.Analyze(Options{Mode: WithHints, Hints: hints.New(), EvalHints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reused {
 		t.Error("changed options served the memoized fixpoint")
 	}
-	// SolverWorkers is excluded by design: the epoch engine is
-	// graph-identical at every worker count, so switching engines reuses.
-	if _, _, reused, err = s.Analyze(Options{Mode: WithHints, Hints: hints.New(), DisableCopyElim: true, SolverWorkers: 2}); err != nil || !reused {
+	// SolverWorkers is excluded by design: the epoch engine is report- and
+	// counter-identical at every worker count, so changing it reuses.
+	if _, _, reused, err = s.Analyze(Options{Mode: WithHints, Hints: hints.New(), EvalHints: true, SolverWorkers: 2}); err != nil || !reused {
 		t.Errorf("SolverWorkers change broke reuse: reused=%t err=%v", reused, err)
 	}
 }

@@ -62,7 +62,7 @@ func AnalyzeBoth(project *modules.Project, opts Options) (baseline, extended *Re
 	start := time.Now()
 	alloc0 := perf.TotalAllocBytes()
 	a := newAnalyzer(project, Options{Mode: Baseline, SolverWorkers: opts.SolverWorkers,
-		Provenance: opts.Provenance})
+		Provenance: opts.Provenance, reference: opts.reference})
 	if err := a.generate(); err != nil {
 		return nil, nil, err
 	}
@@ -74,9 +74,7 @@ func AnalyzeBoth(project *modules.Project, opts Options) (baseline, extended *Re
 	// bindings — is protected, so substituted variables never gain new
 	// in-flows. The standalone baseline path runs the same pass at the same
 	// point, keeping the returned baseline result bit-identical to it.
-	if !opts.DisableCopyElim {
-		a.s.substituteCopies()
-	}
+	a.s.substituteCopies()
 	baseSolveStart := time.Now()
 	a.s.solve()
 	baseSolveWall := time.Since(baseSolveStart)

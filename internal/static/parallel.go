@@ -1,9 +1,10 @@
 package static
 
-// The sharded, work-stealing propagation engine. It computes the same least
-// fixpoint as the sequential pop loop in solve(), with the same counter
-// values for any worker count ≥ 1, by splitting each round of propagation
-// into a pipeline of phases:
+// The sharded, work-stealing propagation engine: the solver's only
+// cycle-collapsing engine, which every unifying solve runs. It computes the
+// least fixpoint with the same counter values at every worker count (counts
+// ≤ 1 run one inline worker) by splitting each round of propagation into a
+// pipeline of phases:
 //
 //   - a scan phase that is strictly read-only over solver state: the pending
 //     frontier (everything queued since the last round) is partitioned into
@@ -46,8 +47,8 @@ package static
 //     old per-delivery delta scan disappear from the serial path entirely.
 //
 // Batched Tarjan cycle sweeps run concurrently with the parallel phases: a
-// sweep is launched between epochs (at the same deterministic points the
-// sequential engine would run collapseAllSCCs) as a read-only traversal of
+// sweep is launched between epochs (at deterministic points: a periodic
+// sweep is due, or cycle evidence piled up) as a read-only traversal of
 // the epoch-frozen edge/parent state on its own goroutine, rooted at the
 // edges added since the previous sweep (see solver.sweepRoots), joined at
 // the start of the serial tail (before triggers mutate edge lists), and its
@@ -67,23 +68,15 @@ package static
 // counts, and identical between the concurrent path and the inline path
 // used for small frontiers.
 //
-// Relative to the sequential engine, results (token sets, trigger firings,
-// call graphs) are identical, but effort counters may differ slightly: the
-// sequential loop can collapse a detected cycle before the very next pop,
-// while the epoch engine collapses between epochs (and a concurrent sweep's
-// components land one epoch after its launch), so on cycle-dense inputs some
-// deliveries that the sequential engine short-circuits are still paid here
-// (and vice versa). cmd/benchcheck bounds this divergence at workers=1
-// rather than demanding equality, which would serialize the engine.
+// Results (token sets, trigger firings, call graphs) are also identical to
+// the no-unify reference engine's, the plain pop loop in solve() that the
+// differential tests compare against; only the effort and structure
+// counters differ from it.
 //
 // A collapsed SCC never spans shards: sharding hashes the union-find
 // representative, so every member of a unified group lands wherever its
 // representative lands. All unification (LCD, sweep reconciliation) runs
-// between epochs on the solver goroutine, exactly like the sequential
-// engine runs it between pops.
-//
-// The no-unify reference engine falls back to the sequential pop loop —
-// see solve().
+// between epochs on the solver goroutine.
 
 import (
 	"sync"
@@ -105,15 +98,14 @@ const (
 	epochChunk = 64
 
 	// cycleEpochCap bounds the deliveries consumed per epoch while lazy
-	// cycle detection has pending evidence. The sequential engine collapses
-	// a detected cycle before the very next pop; unbounded epochs would
-	// defer that collapse past the whole frontier and pay every redundant
-	// delivery in between. Shrinking epochs only while cycles are actively
-	// being discovered keeps the effort counters within a small factor of
-	// the sequential engine's without giving up scan width on the
-	// cycle-quiet frontiers that dominate real projects. The policy reads
-	// only solver state, which evolves identically at every worker count,
-	// so determinism across worker counts is preserved.
+	// cycle detection has pending evidence. Unbounded epochs would defer
+	// the collapse of a detected cycle past the whole frontier and pay
+	// every redundant delivery in between. Shrinking epochs only while
+	// cycles are actively being discovered keeps that cost small without
+	// giving up scan width on the cycle-quiet frontiers that dominate real
+	// projects. The policy reads only solver state, which evolves
+	// identically at every worker count, so determinism across worker
+	// counts is preserved.
 	cycleEpochCap = 128
 )
 
@@ -187,11 +179,11 @@ func (s *solver) findRO(v Var) Var {
 
 // pushTask is a deferred addEdge prefix push: deliver from's first lim
 // processed tokens across the new from→to edge. Tasks are recorded when a
-// tail-time trigger adds an edge (the sequential engine pushes inline at
-// that point) and executed as scan work in the next epoch, which moves the
-// membership checks — the dominant cost on dispatch-dense graphs, where
-// most flow happens through call-resolution edges discovered mid-solve —
-// onto the workers. Because the tail runs after every delivery of its epoch
+// tail-time trigger adds an edge (outside a tail, addEdge pushes inline)
+// and executed as scan work in the next epoch, which moves the membership
+// checks — the dominant cost on dispatch-dense graphs, where most flow
+// happens through call-resolution edges discovered mid-solve — onto the
+// workers. Because the tail runs after every delivery of its epoch
 // advanced `delivered`, lim covers the whole epoch, including tokens the
 // old serial barrier could only reach with a per-delivery delta scan.
 //
@@ -251,10 +243,9 @@ type chunkOut struct {
 	// deliveries entirely, as the serial barrier did.
 	live []bool
 	// lcdDests are the destinations whose sets already contained the token
-	// at scan time — the sequential engine's lazy-cycle-detection signal —
-	// delimited per delivery by lcdEnds. The tail replays them through
-	// noteLCD so cycle detection sees the same redundant-delivery evidence
-	// the sequential engine would, just at epoch rather than pop granularity.
+	// at scan time — the lazy-cycle-detection signal — delimited per
+	// delivery by lcdEnds. The tail replays them through noteLCD, so cycle
+	// detection sees the redundant-delivery evidence at epoch granularity.
 	lcdDests []Var
 	lcdEnds  []int32
 
@@ -421,25 +412,22 @@ func newParallelEngine(workers int) *parallelEngine {
 	}
 }
 
-// configureParallel switches the solver to the epoch engine with the given
-// worker count (≤ 0 keeps the sequential engine).
+// configureParallel sets the epoch engine's worker count; counts ≤ 1 mean
+// one inline worker.
 func (s *solver) configureParallel(workers int) {
-	if workers > 0 {
-		s.par = newParallelEngine(workers)
-	} else {
-		s.par = nil
-	}
+	s.par = newParallelEngine(workers)
 }
 
-// solveParallel is the epoch-engine counterpart of the sequential pop loop
-// in solve. Between epochs it runs the LCD/sweep cadence (with batched
-// Tarjan sweeps handed to a concurrent worker); within an epoch the
-// frontier is scanned, winnowed, and applied in parallel, then reconciled
-// by the serial tail.
+// solveParallel runs every unifying solve. Between epochs it runs the
+// LCD/sweep cadence (with batched Tarjan sweeps handed to a concurrent
+// worker); within an epoch the frontier is scanned, winnowed, and applied
+// in parallel, then reconciled by the serial tail.
 func (s *solver) solveParallel() {
 	p := s.par
-	// Entry sweep, as in the sequential engine: synchronous, since there is
-	// no parallel work to overlap it with yet.
+	// Entry sweep: collapse every cycle the constraint generator (or a
+	// previous solve round plus injected deltas) built statically, before
+	// any token crosses its edges. Synchronous, since there is no parallel
+	// work to overlap it with yet.
 	s.collapseAllSCCs()
 	for s.head < len(s.queue) || len(p.pushTasks) > 0 || p.sweepLive || p.sweepDone {
 		if p.sweepDone {
@@ -469,20 +457,19 @@ func (s *solver) solveParallel() {
 		}
 		if !p.sweepLive && (len(s.lcdPending) > 0 || s.iterations >= s.nextSweep) {
 			// Collapse round: every epoch that produced cycle evidence gets
-			// one, like the sequential engine collapsing before the next pop.
+			// one before the next epoch starts.
 			// Deferred pushes never wait for it and never run inline for it —
 			// they are materialized (prefixes copied) so unification cannot
 			// invalidate them, and they stay parallel scan work.
 			periodic := s.iterations >= s.nextSweep
 			if periodic || len(s.lcdPending) >= lcdSweepBatch {
 				// Batched resolution: an SCC sweep from the changed edges
-				// subsumes the per-pair searches (see runLCD). With a large
+				// subsumes the per-pair searches (see lcdSweepBatch). With a large
 				// frontier queued it runs concurrently with the next epoch's
 				// parallel phases instead of on the critical path — the
 				// evidence is consumed now (the pairs are already in
 				// lcdChecked) and the components land after the next tail;
-				// with a small frontier it runs synchronously, like the
-				// sequential engine's sweep.
+				// with a small frontier it runs synchronously.
 				s.lcdPending = s.lcdPending[:0]
 				if periodic {
 					s.nextSweep = s.iterations + s.sweepInterval()
@@ -584,7 +571,7 @@ func (p *parallelEngine) partition(s *solver, budget int) {
 		s.queue = s.queue[:0]
 		s.head = 0
 	} else if s.head >= queueCompactMin && s.head*2 >= len(s.queue) {
-		// Same compaction policy as the sequential pop loop.
+		// Same compaction policy as the reference pop loop.
 		m := copy(s.queue, s.queue[s.head:])
 		s.queue = s.queue[:m]
 		s.head = 0
@@ -956,7 +943,7 @@ func (p *parallelEngine) winnowShards(s *solver, first, stride int32) {
 // which is what makes a cross-kind duplicate (a queued delivery and a
 // prefix push proposing the same insertion) resolve to exactly one winner —
 // plus one cycle-pair verdict per task, since every redundancy in a push
-// carries the same (from, to) pair. The sequential addEdge's accounting
+// carries the same (from, to) pair. The inline addEdge's accounting
 // comes along: every token of the frozen prefix was one delivery attempt,
 // counted once by the destination's owner.
 func (p *parallelEngine) winnowPushChunk(s *solver, c chunkRef, out *chunkOut, acc *applyAcc, first, stride, stamp int32) {
@@ -1078,7 +1065,7 @@ func (p *parallelEngine) applyWorker(s *solver, wi, nw int) {
 				if st.isProcessed(d.t) {
 					live = false
 				} else {
-					// Exact sequential accounting: every non-self edge was one
+					// Exact per-pop accounting: every non-self edge was one
 					// delivery attempt, every self-edge one redundant skip.
 					acc.delivered += int64(out.edgeCnt[di] - out.selfCnt[di])
 					acc.redundant += int64(out.selfCnt[di])
@@ -1189,11 +1176,6 @@ func (p *parallelEngine) tailPushChunk(s *solver, c chunkRef, out *chunkOut) {
 	}
 }
 
-// parallelStats snapshots the epoch engine's counters so far (zero when
-// the sequential engine is configured).
-func (s *solver) parallelStats() ParallelSolveStats {
-	if s.par == nil {
-		return ParallelSolveStats{}
-	}
-	return s.par.stats
-}
+// parallelStats snapshots the epoch engine's counters so far (zero for the
+// no-unify reference, which never runs it).
+func (s *solver) parallelStats() ParallelSolveStats { return s.par.stats }

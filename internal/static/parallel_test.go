@@ -4,24 +4,39 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/approx"
+	"repro/internal/corpus"
 )
 
-// workerCounts are the arms every determinism test runs; workers=1 matters
-// because it exercises the epoch engine's partition/scan/barrier machinery
+// workerCounts are the arms every determinism test runs. 0 and 1 both run
+// the epoch engine with one inline worker (0 is the CLI default); workers=1
+// matters because it exercises the partition/scan/barrier machinery
 // without concurrency, so a divergence there is a logic bug rather than a
 // race.
-var workerCounts = []int{1, 2, 4, 8}
+var workerCounts = []int{0, 1, 2, 4, 8}
+
+// solveCounters are the deterministic effort and structure counters of one
+// solve, compared across worker counts.
+type solveCounters struct {
+	iterations, delivered int64
+	structure             StructureStats
+}
+
+func countersOf(s *solver) solveCounters {
+	iters, delivered := s.stats()
+	return solveCounters{iters, delivered, s.structure()}
+}
 
 // TestParallelSolverMatchesSequential is the randomized differential test
-// of the epoch-based parallel engine against the sequential cycle-collapsing
-// engine: identical random constraint graphs with interleaved solves and
-// checkpoints, compared on final sets, every checkpoint's frozen views, and
-// trigger deliveries. Effort/structure counters are required to be identical
-// across all parallel worker counts (the engine is deterministic by
-// construction) and within a bounded factor of the sequential engine's —
-// cycle collapse lands at epoch rather than pop granularity, so exact
-// equality with the sequential counters is not a design goal (see
-// parallel.go), but gross divergence would mean the LCD signal is lost.
+// of the epoch engine run concurrently against the same engine run
+// sequentially (one inline worker, the default of newSolver): identical
+// random constraint graphs with interleaved solves and checkpoints,
+// compared on final sets, every checkpoint's frozen views, and trigger
+// deliveries. The sequential run is itself checked against the no-unify
+// reference solver, so every worker count matches the reference. Effort and
+// structure counters must be identical at every worker count — the engine
+// is deterministic by construction.
 func TestParallelSolverMatchesSequential(t *testing.T) {
 	seeds := int64(25)
 	if testing.Short() {
@@ -34,12 +49,30 @@ func TestParallelSolverMatchesSequential(t *testing.T) {
 
 		sq := newSolver()
 		cpsSeq, firedSeq := randomOps(seed, sq, nVars, rounds)
-		seqIters, seqDelivered := sq.stats()
 		checkTokenBits(t, sq)
+		want := countersOf(sq)
 
-		var refIters, refDelivered int64
-		var refStruct StructureStats
-		for wi, workers := range workerCounts {
+		sr := newReferenceSolver()
+		cpsRef, firedRef := randomOps(seed, sr, nVars, rounds)
+		for v := 0; v < nVars; v++ {
+			if gs, gr := sortedTokens(sq.tokens(Var(v))), sortedTokens(sr.tokens(Var(v))); !tokensEqual(gs, gr) {
+				t.Fatalf("seed %d: var %d final sets differ: sequential %v, reference %v", seed, v, gs, gr)
+			}
+			for k := range cpsSeq {
+				fs := sortedTokens(sq.tokensAt(cpsSeq[k], Var(v)))
+				fr := sortedTokens(sr.tokensAt(cpsRef[k], Var(v)))
+				if !tokensEqual(fs, fr) {
+					t.Fatalf("seed %d: var %d checkpoint %d frozen views differ: sequential %v, reference %v",
+						seed, v, k, fs, fr)
+				}
+			}
+		}
+		if len(firedSeq) != len(firedRef) {
+			t.Fatalf("seed %d: trigger deliveries differ: sequential %d pairs, reference %d",
+				seed, len(firedSeq), len(firedRef))
+		}
+
+		for _, workers := range workerCounts {
 			sp := newSolver()
 			sp.configureParallel(workers)
 			cpsPar, firedPar := randomOps(seed, sp, nVars, rounds)
@@ -71,27 +104,11 @@ func TestParallelSolverMatchesSequential(t *testing.T) {
 						seed, workers, k, n, firedSeq[k])
 				}
 			}
-
-			parIters, parDelivered := sp.stats()
-			parStruct := sp.structure()
-			if wi == 0 {
-				refIters, refDelivered, refStruct = parIters, parDelivered, parStruct
-				if parDelivered > 2*seqDelivered || parIters > 2*seqIters {
-					t.Fatalf("seed %d: parallel effort more than doubled the sequential engine's: %d iters / %d tokens vs %d / %d — LCD signal lost?",
-						seed, parIters, parDelivered, seqIters, seqDelivered)
-				}
-			} else {
-				if parIters != refIters || parDelivered != refDelivered {
-					t.Fatalf("seed %d workers %d: effort counters differ across worker counts: %d iters / %d tokens vs %d / %d at workers=%d",
-						seed, workers, parIters, parDelivered, refIters, refDelivered, workerCounts[0])
-				}
-				if parStruct != refStruct {
-					t.Fatalf("seed %d workers %d: structure counters differ across worker counts: %+v vs %+v at workers=%d",
-						seed, workers, parStruct, refStruct, workerCounts[0])
-				}
+			if got := countersOf(sp); got != want {
+				t.Fatalf("seed %d workers %d: counters %+v, sequential %+v", seed, workers, got, want)
 			}
 			if st := sp.parallelStats(); st.Epochs == 0 {
-				t.Fatalf("seed %d workers %d: parallel engine recorded no epochs — sequential path ran instead", seed, workers)
+				t.Fatalf("seed %d workers %d: the epoch engine recorded no epochs", seed, workers)
 			}
 		}
 	}
@@ -99,7 +116,7 @@ func TestParallelSolverMatchesSequential(t *testing.T) {
 
 // TestParallelDeterministicAcrossWorkers pins the stronger property the
 // epoch pipeline is designed for: not just that every worker count matches
-// the sequential engine, but that the scheduling-independent parallel
+// the reference engine, but that the scheduling-independent parallel
 // diagnostics (epochs, cross-shard deliveries, async sweep launches) are
 // themselves identical at every worker count — with every epoch forced
 // through the goroutine-and-deque path so chunks really are claimed and
@@ -214,7 +231,7 @@ func TestParallelPipelinePropertyConcurrentMatchesInline(t *testing.T) {
 
 // TestParallelConcurrentScanPath forces every epoch — even one-delivery
 // frontiers — through the goroutine-and-deque scan path and re-checks the
-// differential against the sequential engine. With -race this is the test
+// differential against the reference engine. With -race this is the test
 // that actually exercises the Chase-Lev deques and concurrent findRO walks;
 // the frontiers of the other tests often fit under inlineFrontierMax.
 func TestParallelConcurrentScanPath(t *testing.T) {
@@ -223,7 +240,7 @@ func TestParallelConcurrentScanPath(t *testing.T) {
 	defer func() { inlineFrontierMax = saved }()
 
 	for seed := int64(0); seed < 6; seed++ {
-		sq := newSolver()
+		sq := newReferenceSolver()
 		_, firedSeq := randomOps(seed, sq, 60, 2)
 		for _, workers := range []int{2, 4, 8} {
 			sp := newSolver()
@@ -242,8 +259,9 @@ func TestParallelConcurrentScanPath(t *testing.T) {
 }
 
 // TestParallelReferenceSolverFallsBackSequential checks the exact no-unify
-// reference solver never enters the parallel engine even when workers are
-// configured: the dispatch in solve() must route it to the sequential loop.
+// reference solver never enters the epoch engine even when workers are
+// configured: the dispatch in solve() must route it to its sequential pop
+// loop.
 func TestParallelReferenceSolverFallsBackSequential(t *testing.T) {
 	s := newReferenceSolver()
 	s.configureParallel(4)
@@ -253,30 +271,79 @@ func TestParallelReferenceSolverFallsBackSequential(t *testing.T) {
 	}
 }
 
-// TestAnalyzeParallelMatchesSequentialProject runs the full analysis
+// TestAnalyzeParallelMatchesReferenceProject runs the full analysis
 // pipeline (not just the bare solver) on the paper's motivating Express
-// example at every worker count and requires identical call graphs and
-// counters.
-func TestAnalyzeParallelMatchesSequentialProject(t *testing.T) {
+// example at every worker count and requires the call graph of the
+// no-unify reference solver and identical counters at every count.
+func TestAnalyzeParallelMatchesReferenceProject(t *testing.T) {
 	project := motivating()
-	ref, err := Analyze(project, Options{Mode: Baseline})
+	ref, err := Analyze(project, Options{Mode: Baseline, reference: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var first *Result
 	for _, workers := range workerCounts {
 		got, err := Analyze(project, Options{Mode: Baseline, SolverWorkers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.Graph.Equal(ref.Graph) {
-			t.Fatalf("workers %d: call graph differs from sequential", workers)
+			t.Fatalf("workers %d: call graph differs from the reference", workers)
 		}
-		if got.SolveIterations != ref.SolveIterations || got.TokensDelivered != ref.TokensDelivered {
-			t.Fatalf("workers %d: effort differs: %d iters / %d tokens vs sequential %d / %d",
-				workers, got.SolveIterations, got.TokensDelivered, ref.SolveIterations, ref.TokensDelivered)
+		if first == nil {
+			first = got
+			continue
 		}
-		if got.Structure != ref.Structure {
-			t.Fatalf("workers %d: structure counters differ: %+v vs %+v", workers, got.Structure, ref.Structure)
+		if got.SolveIterations != first.SolveIterations || got.TokensDelivered != first.TokensDelivered {
+			t.Fatalf("workers %d: effort differs: %d iters / %d tokens vs %d / %d at workers=%d",
+				workers, got.SolveIterations, got.TokensDelivered, first.SolveIterations, first.TokensDelivered, workerCounts[0])
+		}
+		if got.Structure != first.Structure {
+			t.Fatalf("workers %d: structure counters differ: %+v vs %+v", workers, got.Structure, first.Structure)
+		}
+	}
+}
+
+// TestCorpusCountersIdenticalAcrossWorkers is the corpus-wide form of the
+// one-engine guarantee: on every corpus project, AnalyzeBoth gives the same
+// effort and structure counters at solver-worker counts 0, 1 and 4, and
+// baseline and extended call graphs equal to the no-unify reference's.
+func TestCorpusCountersIdenticalAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full corpus sweep; skipped with -short")
+	}
+	of := func(r *Result) solveCounters {
+		return solveCounters{r.SolveIterations, r.TokensDelivered, r.Structure}
+	}
+	for _, b := range corpus.All() {
+		name := b.Project.Name
+		ar, err := approx.Run(b.Project, approx.Options{})
+		if err != nil {
+			t.Fatalf("%s: approx: %v", name, err)
+		}
+		opts := Options{Mode: WithHints, Hints: ar.Hints, DegradeFiles: ar.FaultedModules()}
+		refOpts := opts
+		refOpts.reference = true
+		refBase, refExt, err := AnalyzeBoth(b.Project, refOpts)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		var want [2]solveCounters
+		for i, workers := range []int{0, 1, 4} {
+			opts.SolverWorkers = workers
+			base, ext, err := AnalyzeBoth(b.Project, opts)
+			if err != nil {
+				t.Fatalf("%s workers %d: %v", name, workers, err)
+			}
+			if !base.Graph.Equal(refBase.Graph) || !ext.Graph.Equal(refExt.Graph) {
+				t.Errorf("%s workers %d: call graphs differ from the reference", name, workers)
+			}
+			got := [2]solveCounters{of(base), of(ext)}
+			if i == 0 {
+				want = got
+			} else if got != want {
+				t.Errorf("%s workers %d: counters %+v, workers=0 %+v", name, workers, got, want)
+			}
 		}
 	}
 }
@@ -287,13 +354,10 @@ func BenchmarkSolverParallel(b *testing.B) {
 	run := func(b *testing.B, workers int) {
 		for i := 0; i < b.N; i++ {
 			s := newSolver()
-			if workers > 0 {
-				s.configureParallel(workers)
-			}
+			s.configureParallel(workers)
 			randomOps(1, s, 400, 3)
 		}
 	}
-	b.Run("seq", func(b *testing.B) { run(b, 0) })
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) { run(b, w) })
 	}

@@ -207,7 +207,7 @@ func (a *analyzer) popCtx(prev provRecord) {
 
 // onTokenCtx registers a trigger that fires under the rule context that was
 // ambient at registration time. This is the linchpin of provenance
-// determinism: a trigger may fire during the sequential pop loop, inside an
+// determinism: a trigger may fire during the reference pop loop, inside an
 // epoch barrier, or synchronously while the registration replays already-
 // delivered tokens — the journaled context is the registration-time one in
 // every case, and the previous ambient context is restored afterwards so a

@@ -57,8 +57,9 @@ func TestProvenanceZeroOverhead(t *testing.T) {
 }
 
 // provenanceFingerprint renders every engine-visible provenance answer for
-// the motivating example's key sites into one comparable string.
-func provenanceFingerprint(t *testing.T, workers int) string {
+// the motivating example's key sites into one comparable string. The run
+// uses eng's solver choice (SolverWorkers, or the no-unify reference).
+func provenanceFingerprint(t *testing.T, eng Options) string {
 	t.Helper()
 	project := motivating()
 	ar, err := approx.Run(project, approx.Options{})
@@ -67,7 +68,7 @@ func provenanceFingerprint(t *testing.T, workers int) string {
 	}
 	_, ext, err := AnalyzeBoth(project, Options{
 		Mode: WithHints, Hints: ar.Hints, DegradeFiles: ar.FaultedModules(),
-		SolverWorkers: workers, Provenance: true,
+		SolverWorkers: eng.SolverWorkers, reference: eng.reference, Provenance: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,13 +80,13 @@ func provenanceFingerprint(t *testing.T, workers int) string {
 	for _, site := range []loc.Loc{siteAppGet, siteAppListen} {
 		cs, ok := p.CallSite(site)
 		if !ok {
-			t.Fatalf("workers=%d: no call-site record at %v", workers, site)
+			t.Fatalf("%+v: no call-site record at %v", eng, site)
 		}
 		fmt.Fprintf(&sb, "%s: kind=%s prop=%s module=%s\n", site, cs.Kind, cs.Prop, cs.Module)
 		fmt.Fprintf(&sb, "  tokens: %v\n", p.Tokens(cs.Callee))
 		desc, chain, ok := p.NearestDelivered(cs.Callee, site.File)
 		if !ok {
-			t.Fatalf("workers=%d: nothing delivered at %v", workers, site)
+			t.Fatalf("%+v: nothing delivered at %v", eng, site)
 		}
 		fmt.Fprintf(&sb, "  nearest: %s\n", desc)
 		for _, step := range chain {
@@ -101,14 +102,14 @@ func provenanceFingerprint(t *testing.T, workers int) string {
 }
 
 // TestProvenanceDeterministicAcrossWorkers runs the provenance-enabled
-// pipeline under the sequential engine and the parallel epoch engine at
+// pipeline under the no-unify reference engine and the epoch engine at
 // several widths: every journal-derived answer — chains, frontiers, token
 // descriptions, journal sizes — must be identical at every value.
 func TestProvenanceDeterministicAcrossWorkers(t *testing.T) {
-	want := provenanceFingerprint(t, 0)
-	for _, workers := range []int{1, 4} {
-		if got := provenanceFingerprint(t, workers); got != want {
-			t.Errorf("provenance answers differ between -solver-workers 0 and %d:\n--- workers=0 ---\n%s--- workers=%d ---\n%s",
+	want := provenanceFingerprint(t, Options{reference: true})
+	for _, workers := range []int{0, 1, 4} {
+		if got := provenanceFingerprint(t, Options{SolverWorkers: workers}); got != want {
+			t.Errorf("provenance answers differ between the reference and -solver-workers %d:\n--- reference ---\n%s--- workers=%d ---\n%s",
 				workers, want, workers, got)
 		}
 	}

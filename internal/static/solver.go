@@ -59,9 +59,7 @@ const sccSweepInterval = 1024
 // sweepInterval is the iteration gap between periodic SCC sweeps: the
 // fixed sccSweepInterval for corpus-sized graphs (nVars/4 does not exceed
 // 1024 until ~4k variables, so every corpus project keeps the exact
-// historical cadence), scaled linearly with graph size beyond that. The
-// sequential and epoch engines share this policy, so their sweep cadences
-// agree.
+// historical cadence), scaled linearly with graph size beyond that.
 func (s *solver) sweepInterval() int64 {
 	if v := int64(s.nVars) / 4; v > sccSweepInterval {
 		return v
@@ -99,8 +97,9 @@ const (
 //     entry) a Tarjan sweep rooted at the sources of the edges added since
 //     the previous sweep collapses the SCCs lazy detection missed.
 //
-// All merging happens between queue pops, never inside one, so edge and
-// trigger iteration state is never invalidated mid-delivery.
+// Every unifying solve runs the sharded epoch engine (parallel.go), which
+// merges only between epochs, never inside one, so edge and trigger
+// iteration state is never invalidated mid-delivery.
 type solver struct {
 	chunks [][]varState
 	nVars  int
@@ -129,13 +128,14 @@ type solver struct {
 	queue []delivery
 	head  int
 
-	// noUnify disables cycle collapsing entirely — the reference engine the
-	// differential property tests compare against (and the exact behavior
-	// of the pre-condensation solver).
+	// noUnify disables cycle collapsing and copy substitution entirely: the
+	// reference engine the differential tests compare against, solved by
+	// the plain pop loop in solve (the exact behavior of the
+	// pre-condensation solver).
 	noUnify bool
 
 	// Lazy cycle detection: candidate edges whose delivery was redundant,
-	// checked (once per pair, ever) between pops.
+	// checked (once per pair, ever) between epochs.
 	lcdPending []edgePair
 	lcdChecked map[edgePair]struct{}
 	// nextSweep is the iteration count at which the next periodic SCC
@@ -151,10 +151,9 @@ type solver struct {
 	// harmless (visited roots are skipped). Nothing is recorded in noUnify
 	// mode, which never sweeps.
 	sweepRoots []Var
-	// par, when non-nil, routes solve through the sharded epoch engine
-	// (parallel.go). The no-unify reference engine always takes the
-	// sequential pop loop: the epoch engine's value is moot without
-	// collapsing.
+	// par is the sharded epoch engine (parallel.go) that solves every
+	// unifying solver; one inline worker unless configureParallel asks for
+	// more. The no-unify reference never runs it.
 	par *parallelEngine
 	// Reusable sweep scratch (Tarjan index/lowlink/stacks), kept across
 	// sweeps to avoid re-allocating O(nVars) arrays every interval.
@@ -384,12 +383,15 @@ func newSolver() *solver {
 	return &solver{
 		queue:     make([]delivery, 0, 1024),
 		nextSweep: sccSweepInterval,
+		par:       newParallelEngine(1),
 	}
 }
 
-// newReferenceSolver builds a solver with cycle collapsing disabled: the
-// exact propagation behavior of the pre-condensation engine, used as the
-// differential oracle by the unification property tests.
+// newReferenceSolver builds a solver with cycle collapsing and copy
+// substitution disabled: the exact propagation behavior of the
+// pre-condensation engine, used as the differential oracle by the
+// unification property tests and, through Options.reference, by the
+// analysis-level ones.
 func newReferenceSolver() *solver {
 	s := newSolver()
 	s.noUnify = true
@@ -465,7 +467,7 @@ func (s *solver) addEdge(from, to Var) {
 	}
 	st.appendEdge(to)
 	s.noteSweepRoot(from)
-	if s.par != nil && s.par.deferPush && st.delivered > 0 {
+	if s.par.deferPush && st.delivered > 0 {
 		// Inside a parallel barrier the prefix push is deferred into a scan
 		// task of the next epoch, so its membership checks run on the
 		// workers instead of serially here. The prefix [0:delivered] is
@@ -511,36 +513,24 @@ func (s *solver) onToken(v Var, fn func(Token)) {
 	// prefix below delivered is immutable (appends go after it, merge
 	// swaps stay at or beyond it) and st is chunk-stable, so st.tokens[i]
 	// for i < n keeps its value even if fn appends (and reallocates) the
-	// slice. delivered itself only advances inside solve's pop loop, never
-	// from within a trigger, so n is stable across the replay.
+	// slice. delivered itself only advances in the solve loop (the epoch
+	// engine's apply pass, or the reference pop loop), never from within a
+	// trigger, so n is stable across the replay.
 	n := st.delivered
 	for i := 0; i < n; i++ {
 		fn(st.tokens[i])
 	}
 }
 
-// solve runs propagation to a fixpoint.
+// solve runs propagation to a fixpoint. Every unifying solver runs the
+// epoch engine (solveParallel); the no-unify reference runs the plain pop
+// loop below.
 func (s *solver) solve() {
-	if s.par != nil && !s.noUnify {
+	if !s.noUnify {
 		s.solveParallel()
 		return
 	}
-	if !s.noUnify {
-		// Entry sweep: collapse every cycle the constraint generator (or a
-		// previous solve round plus injected deltas) built statically,
-		// before any token crosses its edges.
-		s.collapseAllSCCs()
-	}
 	for s.head < len(s.queue) {
-		if !s.noUnify {
-			if len(s.lcdPending) > 0 {
-				s.runLCD()
-			}
-			if s.iterations >= s.nextSweep {
-				s.collapseAllSCCs()
-				s.nextSweep = s.iterations + s.sweepInterval()
-			}
-		}
 		d := s.queue[s.head]
 		s.head++
 		s.iterations++
@@ -551,36 +541,18 @@ func (s *solver) solve() {
 			s.queue = s.queue[:n]
 			s.head = 0
 		}
-		v := s.find(d.v)
-		// The state pointer is stable (chunked storage), but triggers may
-		// extend this variable's own edge and trigger lists while we
-		// iterate, so re-check the lengths each step.
-		st := s.state(v)
-		if st.isProcessed(d.t) {
-			// Already processed by the representative: this delivery was
-			// addressed to a member before its cycle collapsed (or is the
-			// merge-time re-queue of a token the other side had pending).
-			s.redundantSkipped++
-			continue
-		}
+		// Without unification every variable is its own representative and
+		// every (var, token) pair is queued exactly once, in append order, so
+		// the pop is always the variable's next pending token. The state
+		// pointer is stable (chunked storage), but triggers may extend this
+		// variable's own edge and trigger lists while we iterate, so re-check
+		// the lengths each step.
+		st := s.state(d.v)
 		// Mark delivered before running triggers so a trigger registering
-		// further triggers on this variable does not re-fire for d.t. The
-		// edge loop below only inserts into other representatives, so
-		// advancing the prefix first is invisible to it.
-		if st.deliver(d.t) {
-			s.swaps++
-		}
+		// further triggers on this variable does not re-fire for d.t.
+		st.deliver(d.t)
 		for i := 0; i < len(st.edges); i++ {
-			to := s.find(st.edges[i])
-			if to == v {
-				// Self-edge under condensation: the token is here already.
-				s.redundantSkipped++
-				continue
-			}
-			if !s.addTokenRep(to, d.t) && !s.noUnify {
-				// Redundant delivery: the lazy-cycle-detection signal.
-				s.noteLCD(v, to)
-			}
+			s.addTokenRep(st.edges[i], d.t)
 		}
 		// Snapshot the trigger count: triggers registered during this loop
 		// (by a trigger on the same variable) already see d.t through the
@@ -612,25 +584,21 @@ func (s *solver) noteLCD(from, to Var) {
 	s.lcdPending = append(s.lcdPending, key)
 }
 
-// lcdSweepBatch is the pending-candidate count past which runLCD abandons
-// per-pair searches for one SCC sweep: each search may visit up to
+// lcdSweepBatch is the pending-candidate count past which a collapse round
+// abandons per-pair searches for one SCC sweep: each search may visit up to
 // lcdSearchBudget nodes, so a large batch costs more than the sweep from
 // the changed edges, which collapses every cycle (including ones the
 // bounded searches would miss) in a single pass.
 const lcdSweepBatch = 32
 
-// runLCD processes pending cycle candidates. For a candidate edge v→w, a
-// cycle exists iff w reaches v; the bounded search returns the discovered
-// path w…v, which together with the v→w edge forms the cycle to collapse.
-// Batches past lcdSweepBatch are resolved by an SCC sweep instead —
-// strictly more collapsing for strictly less work.
+// runLCD processes pending cycle candidates, a batch smaller than
+// lcdSweepBatch (larger ones are resolved by an SCC sweep instead; see
+// solveParallel). For a candidate edge v→w, a cycle exists iff w reaches v;
+// the bounded search returns the discovered path w…v, which together with
+// the v→w edge forms the cycle to collapse.
 func (s *solver) runLCD() {
 	pending := s.lcdPending
 	s.lcdPending = s.lcdPending[:0]
-	if len(pending) >= lcdSweepBatch {
-		s.collapseAllSCCs()
-		return
-	}
 	for _, cand := range pending {
 		v, w := s.find(cand.from), s.find(cand.to)
 		if v == w {
@@ -1175,7 +1143,7 @@ type checkpoint struct {
 // delivery queue is drained (right after solve returns); otherwise the
 // "fixpoint" being frozen would include tokens whose triggers have not
 // fired yet — and the frozen prefixes could be disturbed by the
-// out-of-order swaps of a still-running pop loop.
+// out-of-order swaps of a still-running solve.
 func (s *solver) checkpoint() *checkpoint {
 	cp := &checkpoint{
 		nVars:           s.nVars,

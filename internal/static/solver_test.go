@@ -155,7 +155,6 @@ func TestSolverSwapPathMatchesReference(t *testing.T) {
 		workers int
 		inline  int
 	}{
-		{"sequential", 0, saved},
 		{"epoch/inline", 1, saved},
 		{"epoch/concurrent", 2, 0},
 	}

@@ -105,11 +105,11 @@ func sweepOracle(s *solver) func() (int, int, error) {
 
 // TestRootedSweepMatchesWholeGraph is the differential exactness test of
 // the rooted SCC sweep: at every sweep point — entry, periodic, LCD-batch,
-// and (on the epoch engine) the concurrent sweep worker — the components
-// found from the sweep roots must be exactly the multi-member SCCs of the
-// whole representative graph. The random constraint graphs add edges and
-// tokens between solves and, through triggers, mid-solve, and collapse
-// cycles as they go, on the sequential engine and the epoch engine.
+// and the concurrent sweep worker — the components found from the sweep
+// roots must be exactly the multi-member SCCs of the whole representative
+// graph. The random constraint graphs add edges and tokens between solves
+// and, through triggers, mid-solve, and collapse cycles as they go, on the
+// epoch engine at one and four workers.
 func TestRootedSweepMatchesWholeGraph(t *testing.T) {
 	seeds := int64(40)
 	if testing.Short() {
@@ -118,7 +118,7 @@ func TestRootedSweepMatchesWholeGraph(t *testing.T) {
 	engines := []struct {
 		name    string
 		workers int
-	}{{"sequential", 0}, {"epoch-1", 1}, {"epoch-4", 4}}
+	}{{"epoch-1", 1}, {"epoch-4", 4}}
 	for _, eng := range engines {
 		sweeps, found := 0, 0
 		for seed := int64(0); seed < seeds; seed++ {

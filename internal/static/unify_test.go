@@ -79,13 +79,14 @@ func randomOps(seed int64, s *solver, nVars, rounds int) ([]*checkpoint, map[fir
 	return cps, fired
 }
 
-// TestUnifyingSolverMatchesReference is the randomized differential test of
-// the cycle-collapsing engine against the no-unification reference solver:
-// identical random constraint graphs (dense enough to force many cycles),
-// with checkpoints taken at every intermediate fixpoint. Final sets, every
-// checkpoint's frozen views, and trigger deliveries (exactly once per
-// (trigger, token), even when distinct cycle members carry triggers) must
-// all agree.
+// TestUnifyingSolverMatchesReference is the randomized differential test
+// of the cycle-collapsing epoch engine against the no-unification reference
+// solver: identical random constraint graphs (dense enough to force many
+// cycles), with checkpoints taken at every intermediate fixpoint. Final
+// sets, every checkpoint's frozen views, and trigger deliveries (exactly
+// once per (trigger, token), even when distinct cycle members carry
+// triggers) must all agree. TestParallelSolverMatchesSequential carries the
+// same comparison across worker counts.
 func TestUnifyingSolverMatchesReference(t *testing.T) {
 	seeds := int64(40)
 	if testing.Short() {
@@ -129,13 +130,17 @@ func TestUnifyingSolverMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d: reference missed delivery %v", seed, k)
 			}
 		}
+		if st := su.parallelStats(); st.Epochs == 0 {
+			t.Fatalf("seed %d: the epoch engine recorded no epochs", seed)
+		}
 	}
 }
 
-// TestCopyElimEquivalence checks that offline copy substitution is
-// invisible in results: with and without it, baseline and extended
-// analyses produce identical call graphs, metrics, and system sizes on a
-// corpus sample. Only effort counters may differ.
+// TestCopyElimEquivalence checks that offline copy substitution (and cycle
+// collapsing) is invisible in results: the epoch engine, which substitutes
+// copies, and the no-unify reference, which does not, produce identical
+// call graphs, metrics, and system sizes in baseline and extended analyses
+// on a corpus sample. Only effort counters may differ.
 func TestCopyElimEquivalence(t *testing.T) {
 	benches := corpus.All()
 	if len(benches) > 24 {
@@ -156,7 +161,7 @@ func TestCopyElimEquivalence(t *testing.T) {
 				t.Fatalf("%s: %v", b.Project.Name, err)
 			}
 			optsOff := opts
-			optsOff.DisableCopyElim = true
+			optsOff.reference = true
 			off, err := Analyze(b.Project, optsOff)
 			if err != nil {
 				t.Fatalf("%s: %v", b.Project.Name, err)
