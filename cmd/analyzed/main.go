@@ -42,6 +42,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -52,10 +53,22 @@ import (
 
 	"repro/internal/approx"
 	"repro/internal/cache"
-	"repro/internal/dyncg"
 	"repro/internal/fuzz"
 	"repro/internal/modules"
+	"repro/internal/pipeline"
 	"repro/internal/static"
+)
+
+// Input bounds. A request body larger than maxRequestBytes is refused with
+// 413 before any session is touched. The server timeouts bound how long a
+// client may take to send a request and how long an idle connection stays
+// open; there is no write timeout, since an analysis may legitimately run
+// longer than any fixed bound.
+const (
+	maxRequestBytes   = 32 << 20
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
 )
 
 // projectPayload is the wire form of a full project.
@@ -160,9 +173,26 @@ type session struct {
 	// Pre-analysis memo: valid while the project content fingerprint
 	// equals approxFP. Hints depend on the whole file set (one shared
 	// interpreter), so any edit invalidates them as a unit.
-	approxFP     string
-	hints        *approx.Result
-	hintsElapsed time.Duration
+	approxFP string
+	hints    *approx.Result
+}
+
+// runPipeline runs the pipeline on the session's current project, reusing
+// the memoized pre-analysis when the content fingerprint still matches and
+// memoizing the one it gets otherwise. Callers hold sess.mu.
+func (s *server) runPipeline(sess *session, cfg pipeline.Config) (*pipeline.Outcome, error) {
+	project := sess.ds.Project()
+	fp := cache.ProjectFingerprint(project)
+	if sess.hints != nil && fp == sess.approxFP {
+		cfg.PreAnalysis = sess.hints
+	}
+	cfg.Approx = approx.Options{Deadline: s.approxDeadline}
+	res, err := pipeline.Run(project, cfg)
+	if err != nil {
+		return nil, err
+	}
+	sess.hints, sess.approxFP = res.Approx, fp
+	return res, nil
 }
 
 type server struct {
@@ -233,8 +263,13 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req analyzeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"bad request body: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorResponse{"bad request body: " + err.Error()})
 		return
 	}
 
@@ -385,9 +420,9 @@ func (s *server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 
 // provenance runs the attribution pipeline on the session's resident
 // project, under the same per-session lock and panic guard as analyze.
-// The provenance-enabled solve is a fresh two-pass run, not the resident
-// delta session: a journal describes exactly the run that produced it, so
-// it cannot be patched across deltas the way fixpoints can.
+// The provenance-enabled solve is a fresh run, not the resident delta
+// session: a journal describes exactly the run that produced it, so it
+// cannot be patched across deltas the way fixpoints can.
 func (s *server) provenance(sess *session) (resp *provenanceResponse, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -400,33 +435,16 @@ func (s *server) provenance(sess *session) (resp *provenanceResponse, err error)
 	defer sess.mu.Unlock()
 
 	start := time.Now()
-	project := sess.ds.Project()
-
-	dr, err := dyncg.Build(project, dyncg.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("dyncg: %w", err)
-	}
-	fp := cache.ProjectFingerprint(project)
-	if sess.hints == nil || fp != sess.approxFP {
-		hintStart := time.Now()
-		ar, aerr := approx.Run(project, approx.Options{Deadline: s.approxDeadline})
-		if aerr != nil {
-			return nil, fmt.Errorf("approx: %w", aerr)
-		}
-		sess.hints, sess.approxFP, sess.hintsElapsed = ar, fp, time.Since(hintStart)
-	}
-	ar := sess.hints
-
-	_, ext, err := static.AnalyzeBoth(project, static.Options{
-		Mode: static.WithHints, Hints: ar.Hints, EvalHints: true,
-		DegradeFiles: ar.FaultedModules(), Provenance: true,
-		SolverWorkers: s.solverWorkers,
+	res, err := s.runPipeline(sess, pipeline.Config{
+		SolverWorkers: s.solverWorkers, EvalHints: true, Provenance: true,
+		WithDynCG: true,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("static: %w", err)
+		return nil, err
 	}
+	ext := res.Extended
 
-	causes := fuzz.AttributeMissedEdges(project, dr.Graph, ar, ext)
+	causes := fuzz.AttributeMissedEdges(sess.ds.Project(), res.Dynamic.Graph, res.Approx, ext)
 	resp = &provenanceResponse{MissedEdges: len(causes)}
 	for _, rc := range causes {
 		if rc.Cause == fuzz.CauseUnattributed {
@@ -479,43 +497,21 @@ func (s *server) analyze(sess *session, delta *deltaPayload, solverWorkers int) 
 	if delta != nil {
 		sess.ds.Update(delta.Changed, delta.Removed)
 	}
-	project := sess.ds.Project()
-
-	// Pre-analysis, memoized per content fingerprint: hints are a function
-	// of the whole file set, so they are reused exactly when nothing
-	// changed and recomputed as a unit otherwise.
-	fp := cache.ProjectFingerprint(project)
-	if sess.hints == nil || fp != sess.approxFP {
-		hintStart := time.Now()
-		ar, aerr := approx.Run(project, approx.Options{Deadline: s.approxDeadline})
-		if aerr != nil {
-			return nil, fmt.Errorf("approx: %w", aerr)
-		}
-		sess.hints, sess.approxFP, sess.hintsElapsed = ar, fp, time.Since(hintStart)
-	}
-	ar := sess.hints
-
-	base, ext, reused, err := sess.ds.Analyze(static.Options{
-		Mode: static.WithHints, Hints: ar.Hints, DegradeFiles: ar.FaultedModules(),
-		SolverWorkers: solverWorkers,
-	})
+	res, err := s.runPipeline(sess, pipeline.Config{Session: sess.ds, SolverWorkers: solverWorkers})
 	if err != nil {
-		return nil, fmt.Errorf("static: %w", err)
+		return nil, err
 	}
 
 	resp = &analyzeResponse{
-		Reused:          reused,
-		HintCount:       ar.Hints.Count(),
-		VisitedRatio:    ar.VisitedRatio(),
-		Baseline:        summarize(base),
-		Extended:        summarize(ext),
-		DegradedModules: ext.DegradedModules,
+		Reused:          res.Reused,
+		HintCount:       res.Approx.Hints.Count(),
+		VisitedRatio:    res.Approx.VisitedRatio(),
+		Baseline:        summarize(res.Baseline),
+		Extended:        summarize(res.Extended),
+		DegradedModules: res.DegradedModules,
 		DurationMS:      float64(time.Since(start).Microseconds()) / 1000,
 	}
-	for _, f := range ar.Faults {
-		resp.Faults = append(resp.Faults, f.String())
-	}
-	for _, f := range ext.Faults {
+	for _, f := range res.Faults {
 		resp.Faults = append(resp.Faults, f.String())
 	}
 	return resp, nil
@@ -557,5 +553,12 @@ func main() {
 	}
 	srv := newServer(store, *approxDeadline, *maxSessions, *solverWorkers, *maxConcurrency)
 	log.Printf("analyzed: listening on %s (cache: %q)", *addr, *cacheDir)
-	log.Fatal(http.ListenAndServe(*addr, srv.handler()))
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	log.Fatal(hs.ListenAndServe())
 }

@@ -203,6 +203,35 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
+// TestAnalyzeOversizedBody asserts that a well-formed request larger than
+// maxRequestBytes is refused with 413 and opens no session.
+func TestAnalyzeOversizedBody(t *testing.T) {
+	srv := newServer(nil, 2*time.Second, 64, 0, 0)
+	ts := httptest.NewServer(srv.handler())
+	t.Cleanup(ts.Close)
+
+	payload := testProjectPayload()
+	payload.Files["/app/big.js"] = "// " + strings.Repeat("x", maxRequestBytes)
+	body, err := json.Marshal(analyzeRequest{Project: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := http.Post(ts.URL+"/analyze", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status = %d, want 413", res.StatusCode)
+	}
+	srv.mu.Lock()
+	n := len(srv.sessions)
+	srv.mu.Unlock()
+	if n != 0 {
+		t.Errorf("oversized body opened %d session(s)", n)
+	}
+}
+
 // TestConcurrentDeltaRequests hammers one session with concurrent edit
 // deltas. Deltas are applied inside the session lock, so under -race this
 // must be clean and every request must succeed — an edit can never land

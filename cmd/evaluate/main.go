@@ -108,11 +108,10 @@ func main() {
 		solverW  = flag.Int("solver-workers", 0, "scan workers of the sharded epoch solver per benchmark (<= 1 = one inline worker — reports are identical at every value)")
 		mega     = flag.Bool("mega", false, "run the mega-tier solver-scaling benchmark instead of the corpus experiments; with -benchjson the perf.ParallelSnapshot is written there (BENCH_parallel.json)")
 		megaMods = flag.Int("mega-modules", 0, "mega-tier module count (0 = corpus.DefaultMegaModules)")
-		incr     = flag.Bool("incremental", true, "solve baseline once and resume with hint deltas (-incremental=false forces the legacy two-pass analysis; reports are identical)")
 		cacheDir = flag.String("cache-dir", "", "persistent artifact cache directory (parses, hint sets, solved outcomes); created if missing — a second run against the same directory reuses everything that still matches")
 		delta    = flag.Bool("delta", false, "run the cache delta benchmark (cold/warm/one-file-edit corpus runs, byte-identical reports asserted) instead of the corpus experiments; uses -cache-dir or a temp dir, and -benchjson writes the snapshot (BENCH_delta.json)")
 		perfF    = flag.Bool("perf", false, "print pipeline perf counters (phase times, parse-cache hits, solver effort)")
-		benchout = flag.String("benchjson", "", "write per-phase wall times and counter totals as JSON to this file (e.g. BENCH_baseline.json)")
+		benchout = flag.String("benchjson", "", "write per-phase wall times and counter totals as JSON to this file (e.g. /tmp/bench.json, the input of cmd/benchcheck -got)")
 
 		approxDeadline = flag.Duration("approx-deadline", 0, "wall-clock deadline per approximate-interpretation worklist item (0 = unlimited); tripped items become contained faults and their modules degrade to baseline-only hints")
 		dyncgDeadline  = flag.Duration("dyncg-deadline", 0, "wall-clock deadline per dynamic-call-graph entry module (0 = unlimited)")
@@ -181,7 +180,6 @@ func main() {
 	outs, err := experiments.RunCorpusOpts(benches, experiments.Options{
 		WithDynCG:      needDyn,
 		Workers:        nWorkers,
-		TwoPass:        !*incr,
 		ApproxDeadline: *approxDeadline,
 		DynCGDeadline:  *dyncgDeadline,
 		WithAblation:   *ablation,

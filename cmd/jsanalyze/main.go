@@ -15,11 +15,10 @@ import (
 	"os"
 
 	"repro/internal/approx"
-	"repro/internal/callgraph"
 	"repro/internal/corpus"
-	"repro/internal/dyncg"
 	"repro/internal/hints"
 	"repro/internal/modules"
+	"repro/internal/pipeline"
 	"repro/internal/static"
 )
 
@@ -28,7 +27,7 @@ func main() {
 		dir          = flag.String("dir", "", "project directory to analyze")
 		corpusName   = flag.String("corpus", "", "built-in benchmark to analyze")
 		hintsFile    = flag.String("hints", "", "hints JSON produced by approxinterp (default: run the pre-analysis inline)")
-		baselineOnly = flag.Bool("baseline-only", false, "run only the baseline analysis")
+		baselineOnly = flag.Bool("baseline-only", false, "report only the baseline analysis")
 		edges        = flag.Bool("edges", false, "print call edges")
 		withDyn      = flag.Bool("dyncg", false, "also build a dynamic call graph and report recall/precision")
 		disableDPR   = flag.Bool("no-dpr", false, "disable the read-hint rule [DPR]")
@@ -55,55 +54,50 @@ func main() {
 		os.Exit(2)
 	}
 
-	base, err := static.Analyze(project, static.Options{Mode: static.Baseline})
+	// With -hints the pre-analysis is the file's (it carries no faults, so
+	// nothing degrades); otherwise the pipeline runs it inline.
+	cfg := pipeline.Config{
+		DisableDPR: *disableDPR, UnknownArgHints: *unknownArgs, WithDynCG: *withDyn,
+	}
+	if *hintsFile != "" {
+		f, err := os.Open(*hintsFile)
+		if err != nil {
+			fatal(err)
+		}
+		h, err := hints.ReadJSON(f)
+		f.Close()
+		if err != nil {
+			fatal(err)
+		}
+		cfg.PreAnalysis = &approx.Result{Hints: h}
+	}
+	res, err := pipeline.Run(project, cfg)
 	if err != nil {
 		fatal(err)
 	}
+	if cfg.PreAnalysis == nil {
+		ar := res.Approx
+		fmt.Printf("approx:    %d hints, %d/%d functions visited, %s\n",
+			ar.Hints.Count(), ar.FunctionsVisited, ar.FunctionsTotal, ar.Duration)
+	}
+	for _, f := range res.Faults {
+		fmt.Fprintf(os.Stderr, "jsanalyze: contained fault: %s\n", f)
+	}
+	base := res.Baseline
 	fmt.Printf("baseline:  %v  (vars=%d tokens=%d modules=%d, %s)\n",
 		base.Metrics(), base.NumVars, base.NumTokens, base.AnalyzedModules, base.Duration)
-
 	var ext *static.Result
 	if !*baselineOnly {
-		var h *hints.Hints
-		if *hintsFile != "" {
-			f, err := os.Open(*hintsFile)
-			if err != nil {
-				fatal(err)
-			}
-			h, err = hints.ReadJSON(f)
-			f.Close()
-			if err != nil {
-				fatal(err)
-			}
-		} else {
-			ar, err := approx.Run(project, approx.Options{})
-			if err != nil {
-				fatal(err)
-			}
-			h = ar.Hints
-			fmt.Printf("approx:    %d hints, %d/%d functions visited, %s\n",
-				h.Count(), ar.FunctionsVisited, ar.FunctionsTotal, ar.Duration)
-		}
-		ext, err = static.Analyze(project, static.Options{
-			Mode: static.WithHints, Hints: h, DisableDPR: *disableDPR,
-			UnknownArgHints: *unknownArgs,
-		})
-		if err != nil {
-			fatal(err)
-		}
+		ext = res.Extended
 		fmt.Printf("extended:  %v  (%s)\n", ext.Metrics(), ext.Duration)
 	}
 
-	if *withDyn {
-		dr, err := dyncg.Build(project, dyncg.Options{})
-		if err != nil {
-			fatal(err)
-		}
+	if dr := res.Dynamic; dr != nil {
 		fmt.Printf("dynamic:   %d edges from %d test entries\n", dr.Graph.NumEdges(), dr.EntriesRun)
-		acc := callgraph.CompareWithDynamic(base.Graph, dr.Graph)
+		acc := res.BaselineAccuracy
 		fmt.Printf("baseline:  recall %.1f%%  precision %.1f%%\n", acc.Recall, acc.Precision)
 		if ext != nil {
-			acc = callgraph.CompareWithDynamic(ext.Graph, dr.Graph)
+			acc = res.ExtendedAccuracy
 			fmt.Printf("extended:  recall %.1f%%  precision %.1f%%\n", acc.Recall, acc.Precision)
 		}
 	}

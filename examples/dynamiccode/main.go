@@ -14,10 +14,10 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/loc"
 	"repro/internal/modules"
+	"repro/internal/pipeline"
 )
 
 func main() {
@@ -45,20 +45,20 @@ var result = f(21);
 
 func run(title string, project *modules.Project) {
 	fmt.Printf("== %s ==\n", title)
-	res, err := core.Analyze(project, core.Config{})
+	res, err := pipeline.Run(project, pipeline.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("hints: %d\n", res.Hints().Count())
-	for _, w := range res.Hints().WriteHints() {
+	fmt.Printf("hints: %d\n", res.Approx.Hints.Count())
+	for _, w := range res.Approx.Hints.WriteHints() {
 		evalNote := ""
 		if !w.Site.Valid() {
 			evalNote = "   (write occurred inside eval'd code)"
 		}
 		fmt.Printf("  write hint: (%v).%s ← %v%s\n", w.Target, w.Prop, w.Value, evalNote)
 	}
-	fmt.Printf("baseline: %v\n", res.BaselineMetrics)
-	fmt.Printf("extended: %v\n", res.ExtendedMetrics)
+	fmt.Printf("baseline: %v\n", res.Baseline.Metrics())
+	fmt.Printf("extended: %v\n", res.Extended.Metrics())
 	if project.Name == "eval-inline" {
 		// The f(21) call at line 6 resolves only with hints.
 		site := loc.Loc{File: "/app/index.js", Line: 6, Col: 15}

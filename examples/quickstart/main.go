@@ -13,15 +13,15 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/loc"
+	"repro/internal/pipeline"
 )
 
 func main() {
 	project := corpus.Motivating()
 
-	res, err := core.Analyze(project, core.Config{WithDynamicCG: true})
+	res, err := pipeline.Run(project, pipeline.Config{WithDynCG: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,15 +30,15 @@ func main() {
 	fmt.Printf("hints collected: %d   functions visited: %d/%d\n",
 		res.Approx.Hints.Count(), res.Approx.FunctionsVisited, res.Approx.FunctionsTotal)
 	fmt.Println("\nwrite hints for the web-application object (paper §3):")
-	for _, w := range res.Hints().WriteHints() {
+	for _, w := range res.Approx.Hints.WriteHints() {
 		if w.Prop == "get" || w.Prop == "listen" {
 			fmt.Printf("  (%v, %q, %v)\n", w.Target, w.Prop, w.Value)
 		}
 	}
 
 	fmt.Println("\n== Static analysis ==")
-	fmt.Printf("baseline: %v\n", res.BaselineMetrics)
-	fmt.Printf("extended: %v\n", res.ExtendedMetrics)
+	fmt.Printf("baseline: %v\n", res.Baseline.Metrics())
+	fmt.Printf("extended: %v\n", res.Extended.Metrics())
 
 	// The two calls the paper's Fig. 1 centers on.
 	siteGet := loc.Loc{File: "/app/server.js", Line: 3, Col: 8}

@@ -163,8 +163,8 @@ func (g *Graph) AddFunc(f FuncID) { g.Funcs[f] = true }
 // AddSite registers a call site contained in function encl.
 func (g *Graph) AddSite(site loc.Loc, encl FuncID) { g.Sites[site] = encl }
 
-// AddEdge adds a call edge. The site is registered if unknown (with an
-// unknown enclosing function), so dynamic graphs can be built edge-first.
+// AddEdge adds a call edge. The site is not registered (see AddSite), so
+// dynamic graphs can be built edge-first.
 func (g *Graph) AddEdge(site loc.Loc, target FuncID) {
 	set := g.Edges[site]
 	if set == nil {
@@ -205,6 +205,18 @@ func (g *Graph) Targets(site loc.Loc) []FuncID {
 func (g *Graph) SortedSites() []loc.Loc {
 	out := make([]loc.Loc, 0, len(g.Sites))
 	for s := range g.Sites {
+		out = append(out, s)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
+	return out
+}
+
+// edgeSites returns the keys of Edges, sorted. Unlike SortedSites it
+// covers graphs built edge-first (dynamic graphs), whose sites are never
+// registered.
+func (g *Graph) edgeSites() []loc.Loc {
+	out := make([]loc.Loc, 0, len(g.Edges))
+	for s := range g.Edges {
 		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
@@ -328,9 +340,12 @@ func CompareWithDynamic(g, dyn *Graph) Accuracy {
 	if acc.DynEdges > 0 {
 		acc.Recall = 100 * float64(matched) / float64(acc.DynEdges)
 	}
+	// Sum in site order: floating-point addition is not associative, so a
+	// map-order sum could differ in the last bit from run to run.
 	sites := 0
 	sum := 0.0
-	for site, dynTargets := range dyn.Edges {
+	for _, site := range dyn.edgeSites() {
+		dynTargets := dyn.Edges[site]
 		statTargets := g.Edges[site]
 		if len(statTargets) == 0 {
 			continue

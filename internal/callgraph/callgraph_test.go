@@ -1,6 +1,7 @@
 package callgraph
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/loc"
@@ -146,6 +147,33 @@ func TestCompareWithDynamic(t *testing.T) {
 	// Per-call precision: site1 = 1/2, site2 = 1/1 → avg 75%.
 	if acc.Precision != 75 {
 		t.Errorf("Precision = %v", acc.Precision)
+	}
+}
+
+func TestComparePrecisionDeterministic(t *testing.T) {
+	// Per-site ratios 1/3, 1/5, 1/7, ... are not exactly representable, so
+	// the average depends on the summation order; it must be the sorted
+	// site order every time.
+	static, dynamic := New(), New()
+	const nSites = 400
+	for i := 1; i <= nSites; i++ {
+		s := site(i)
+		dynamic.AddEdge(s, fn(100000))
+		static.AddEdge(s, fn(100000))
+		for k := 1; k < 2*(i%7)+2; k++ {
+			static.AddEdge(s, fn(100000+k))
+		}
+	}
+	want := 0.0
+	for i := 1; i <= nSites; i++ {
+		want += 1 / float64(len(static.Edges[site(i)]))
+	}
+	want = 100 * want / nSites
+	for rep := 0; rep < 50; rep++ {
+		if got := CompareWithDynamic(static, dynamic).Precision; got != want {
+			t.Fatalf("call %d: Precision = %v (bits %x), want sorted-order sum %v (bits %x)",
+				rep, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }
 

@@ -21,8 +21,9 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/dyncg"
 	"repro/internal/fault"
-	"repro/internal/hints"
+	"repro/internal/interp"
 	"repro/internal/perf"
+	"repro/internal/pipeline"
 	"repro/internal/static"
 )
 
@@ -67,19 +68,15 @@ type Outcome struct {
 	ablPrec  float64
 }
 
-// RunBenchmark evaluates one benchmark: pre-analysis, baseline+extended
-// (incrementally — see RunBenchmarkOpts), and (if available and requested)
-// the dynamic call graph.
+// RunBenchmark evaluates one benchmark: pre-analysis, baseline+extended,
+// and (if available and requested) the dynamic call graph.
 func RunBenchmark(b *corpus.Benchmark, withDyn bool) (*Outcome, error) {
 	return runBenchmark(b, Options{WithDynCG: withDyn})
 }
 
-// runBenchmark evaluates one benchmark. With opts.TwoPass false (the
-// default path), baseline and extended run as one incremental solve
-// (static.AnalyzeBoth): constraints are generated once, the baseline
-// fixpoint is snapshotted, and the [DPR]/[DPW] hint deltas resume the same
-// solver — the outcome is identical to the two-pass path (asserted by the
-// differential test in internal/static), only cheaper.
+// runBenchmark evaluates one benchmark through pipeline.Run, adding the
+// corpus statistics, the persistent-cache layers and the precomputed
+// ablation row around it.
 //
 // Robustness: faults contained during the pre-analysis (recovered panics,
 // per-item deadline aborts when opts.ApproxDeadline is set, corrupt module
@@ -113,93 +110,57 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 	}
 	out.Stats = st
 
-	// Pre-analysis, possibly from the hint-set artifact layer (hit when the
-	// project is unchanged but a static/dyncg option invalidated the
+	cfg := pipeline.Config{
+		Approx:        opts.approxOptions(),
+		SolverWorkers: opts.SolverWorkers,
+		WithDynCG:     opts.WithDynCG && b.HasDynCG,
+		DynCG:         dyncg.Options{Deadline: opts.DynCGDeadline},
+	}
+	// The pre-analysis may come from the hint-set artifact layer (hit when
+	// the project is unchanged but a static/dyncg option invalidated the
 	// outcome record). Only fault-free pre-analyses are ever cached, so a
 	// hit implies no degraded modules.
-	var hintSet *hints.Hints
-	var degrade map[string]bool
-	gotApprox := false
 	if hintsCacheKey != "" {
 		if rec, h, ok := loadApprox(opts.Cache, hintsCacheKey); ok {
-			hintSet = h
+			cfg.PreAnalysis = &approx.Result{Hints: h}
 			out.HintCount = rec.HintCount
 			out.VisitedRatio = rec.VisitedRatio
 			out.ApproxTime = time.Duration(rec.DurationNS)
-			gotApprox = true
 		}
 	}
-	if !gotApprox {
-		approxAlloc := perf.TotalAllocBytes()
-		ar, err := approx.Run(b.Project, approx.Options{Deadline: opts.ApproxDeadline})
-		if err != nil {
-			return nil, fmt.Errorf("%s: approx: %w", b.Project.Name, err)
-		}
-		out.HintCount = ar.Hints.Count()
-		out.VisitedRatio = ar.VisitedRatio()
-		out.ApproxTime = ar.Duration
-		perf.Global().AddPhase(perf.PhaseApprox, ar.Duration)
-		perf.Global().AddPhaseAlloc(perf.PhaseApprox, perf.TotalAllocBytes()-approxAlloc)
-
-		hintSet = ar.Hints
-		degrade = ar.FaultedModules()
-		out.Faults = append(out.Faults, ar.Faults...)
-		if hintsCacheKey != "" && len(ar.Faults) == 0 {
-			storeApprox(opts.Cache, hintsCacheKey, out.HintCount, out.VisitedRatio, out.ApproxTime, hintSet)
+	res, err := pipeline.Run(b.Project, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", b.Project.Name, err)
+	}
+	if cfg.PreAnalysis == nil {
+		out.HintCount = res.Approx.Hints.Count()
+		out.VisitedRatio = res.Approx.VisitedRatio()
+		out.ApproxTime = res.Approx.Duration
+		if hintsCacheKey != "" && len(res.Approx.Faults) == 0 {
+			storeApprox(opts.Cache, hintsCacheKey, out.HintCount, out.VisitedRatio, out.ApproxTime, res.Approx.Hints)
 		}
 	}
 
-	var base, ext *static.Result
-	if opts.TwoPass {
-		base, err = static.Analyze(b.Project, static.Options{Mode: static.Baseline, SolverWorkers: opts.SolverWorkers})
-		if err != nil {
-			return nil, fmt.Errorf("%s: baseline: %w", b.Project.Name, err)
-		}
-		ext, err = static.Analyze(b.Project, static.Options{
-			Mode: static.WithHints, Hints: hintSet, DegradeFiles: degrade,
-			SolverWorkers: opts.SolverWorkers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: extended: %w", b.Project.Name, err)
-		}
-	} else {
-		base, ext, err = static.AnalyzeBoth(b.Project, static.Options{
-			Mode: static.WithHints, Hints: hintSet, DegradeFiles: degrade,
-			SolverWorkers: opts.SolverWorkers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: baseline+extended: %w", b.Project.Name, err)
-		}
-	}
-	out.Faults = append(out.Faults, ext.Faults...)
-	out.DegradedModules = ext.DegradedModules
+	base, ext := res.Baseline, res.Extended
+	out.Faults = res.Faults
+	out.DegradedModules = res.DegradedModules
 	out.BaselineTime = base.Duration
 	out.Base = base.Metrics()
 	out.baseReach = base.Graph.Reachable(base.MainEntries)
-	perf.Global().AddPhase(perf.PhaseBaseline, base.Duration)
-	perf.Global().AddPhaseAlloc(perf.PhaseBaseline, base.AllocBytes)
 	out.ExtendedTime = ext.Duration
 	out.Ext = ext.Metrics()
 	out.extReach = ext.Graph.Reachable(ext.MainEntries)
-	perf.Global().AddPhase(perf.PhaseExtended, ext.Duration)
-	perf.Global().AddPhaseAlloc(perf.PhaseExtended, ext.AllocBytes)
 
-	if opts.WithDynCG && b.HasDynCG {
-		dr, err := dynGraph(b, dyncg.Options{Deadline: opts.DynCGDeadline})
-		if err != nil {
-			return nil, fmt.Errorf("%s: dyncg: %w", b.Project.Name, err)
-		}
-		out.DynEdges = dr.Graph.NumEdges()
-		out.BaseAcc = callgraph.CompareWithDynamic(base.Graph, dr.Graph)
-		out.ExtAcc = callgraph.CompareWithDynamic(ext.Graph, dr.Graph)
-		out.Faults = append(out.Faults, dr.Faults...)
+	if res.Dynamic != nil {
+		out.DynEdges = res.Dynamic.Graph.NumEdges()
+		out.BaseAcc = res.BaselineAccuracy
+		out.ExtAcc = res.ExtendedAccuracy
 		if opts.WithAblation && len(out.Faults) == 0 && len(out.DegradedModules) == 0 {
-			if err := out.precomputeAblation(b, hintSet, dr, opts.SolverWorkers); err != nil {
+			if err := out.precomputeAblation(b, res, opts.SolverWorkers); err != nil {
 				return nil, fmt.Errorf("%s: ablation: %w", b.Project.Name, err)
 			}
 		}
 	}
-	perf.Global().AddFaults(len(out.Faults), len(out.DegradedModules))
 	// Cache only clean runs: a faulted or degraded outcome reflects this
 	// run's containment decisions, not the project's content, and must
 	// never be served to a later run.
@@ -213,7 +174,8 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 // Options.WithAblation). Without [DPW] write hints the two arms inject
 // identical constraints, so the row equals the relational columns and
 // needs no solve.
-func (out *Outcome) precomputeAblation(b *corpus.Benchmark, h *hints.Hints, dr *dyncg.Result, solverWorkers int) error {
+func (out *Outcome) precomputeAblation(b *corpus.Benchmark, res *pipeline.Outcome, solverWorkers int) error {
+	h := res.Approx.Hints
 	if !static.WriteHintsApply(h) {
 		out.ablEdges, out.ablMono, out.ablPrec = out.Ext.CallEdges, out.Ext.MonomorphicPct, out.ExtAcc.Precision
 	} else {
@@ -225,45 +187,10 @@ func (out *Outcome) precomputeAblation(b *corpus.Benchmark, h *hints.Hints, dr *
 		}
 		out.ablEdges = abl.Graph.NumEdges()
 		out.ablMono = abl.Metrics().MonomorphicPct
-		out.ablPrec = callgraph.CompareWithDynamic(abl.Graph, dr.Graph).Precision
+		out.ablPrec = callgraph.CompareWithDynamic(abl.Graph, res.Dynamic.Graph).Precision
 	}
 	out.hasAbl = true
 	return nil
-}
-
-// dynEntry is one memoized dynamic call-graph build.
-type dynEntry struct {
-	res *dyncg.Result
-	err error
-}
-
-// dynMemoKey is the modules.Project.Memo key of the project's dynamic call
-// graph. The memo lives on the project, so an evaluation that needs the
-// graph in several places (RunBenchmark accuracy, RunAblation precision)
-// builds it at most once, and the graph is released with the project:
-// corpus generation returns fresh projects per call, so reuse requires
-// passing the same benchmarks to both runs (as cmd/evaluate does).
-type dynMemoKey struct{}
-
-// dynBuilds counts actual dynamic call-graph builds (memo misses).
-var dynBuilds atomic.Int64
-
-// dynGraph returns the (memoized) dynamic call graph of a benchmark. The
-// options of the first caller for a project win (the memo stores one build
-// per project); all callers in one evaluation pass the same options, so
-// this is only observable when mixing configurations in one process.
-func dynGraph(b *corpus.Benchmark, opts dyncg.Options) (*dyncg.Result, error) {
-	ent := b.Project.Memo(dynMemoKey{}, func() any {
-		dynBuilds.Add(1)
-		alloc0 := perf.TotalAllocBytes()
-		res, err := dyncg.Build(b.Project, opts)
-		if err == nil {
-			perf.Global().AddPhase(perf.PhaseDynCG, res.Duration)
-			perf.Global().AddPhaseAlloc(perf.PhaseDynCG, perf.TotalAllocBytes()-alloc0)
-		}
-		return &dynEntry{res, err}
-	}).(*dynEntry)
-	return ent.res, ent.err
 }
 
 // Options configures a corpus evaluation run.
@@ -276,11 +203,6 @@ type Options struct {
 	// sequential run regardless of the worker count: benchmarks share no
 	// state, and outcomes are collected by input position.
 	Workers int
-	// TwoPass forces the legacy two-pass baseline/extended analysis (each
-	// from scratch) instead of the incremental baseline→extended resume.
-	// Reports are identical either way; the flag exists for cross-checking
-	// and for timing the two paths against each other.
-	TwoPass bool
 	// ApproxDeadline is the per-worklist-item wall-clock deadline of the
 	// pre-analysis (0 = unlimited). Items that trip it are aborted, recorded
 	// as deadline faults, and their modules degrade to baseline-only hints.
@@ -307,6 +229,17 @@ type Options struct {
 	// reconstructs exactly what recomputation would have produced. Nil
 	// disables caching.
 	Cache *cache.Store
+
+	// wrapHooks wraps the pre-analysis observation hooks of every pipeline
+	// run this evaluation starts (see approx.Options.WrapHooks); the
+	// fault-injection tests use it to make one module's pre-analysis panic.
+	wrapHooks func(interp.Hooks) interp.Hooks
+}
+
+// approxOptions are the pre-analysis options of every pipeline run this
+// evaluation starts.
+func (o Options) approxOptions() approx.Options {
+	return approx.Options{Deadline: o.ApproxDeadline, WrapHooks: o.wrapHooks}
 }
 
 // RunCorpus evaluates the given benchmarks over a worker pool sized to the
@@ -538,7 +471,7 @@ func RunAblationReusing(b *corpus.Benchmark, prior *Outcome) (*AblationOutcome, 
 		out.NameOnlyPrecision = prior.ablPrec
 		return out, nil
 	}
-	ar, err := approx.Run(b.Project, approx.Options{})
+	ar, err := pipeline.PreAnalyze(b.Project, approx.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -551,57 +484,75 @@ func RunAblationReusing(b *corpus.Benchmark, prior *Outcome) (*AblationOutcome, 
 		out.NameOnlyPrecision = out.RelationalPrecision
 		return out, nil
 	}
-	abl, err := static.Analyze(b.Project, static.Options{Mode: static.AblationNameOnly, Hints: ar.Hints})
-	if err != nil {
-		return nil, err
-	}
-	out.NameOnlyEdges = abl.Graph.NumEdges()
-	out.NameOnlyMonomorphic = abl.Metrics().MonomorphicPct
+	var dyn *callgraph.Graph
 	if b.HasDynCG {
-		dr, err := dynGraph(b, dyncg.Options{})
+		dr, err := pipeline.DynamicGraph(b.Project, dyncg.Options{})
 		if err != nil {
 			return nil, err
 		}
-		out.NameOnlyPrecision = callgraph.CompareWithDynamic(abl.Graph, dr.Graph).Precision
+		dyn = dr.Graph
+	}
+	if err := nameOnlyRow(out, b, ar, dyn); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// RunAblation evaluates the §4 ablation on a benchmark.
+// RunAblation evaluates the §4 ablation on a benchmark: the relational arm
+// is pipeline.Run's extended analysis, the name-only arm re-solves with the
+// same (degraded) hints under AblationNameOnly.
 func RunAblation(b *corpus.Benchmark) (*AblationOutcome, error) {
-	ar, err := approx.Run(b.Project, approx.Options{})
+	return runAblation(b, Options{})
+}
+
+func runAblation(b *corpus.Benchmark, opts Options) (*AblationOutcome, error) {
+	res, err := pipeline.Run(b.Project, pipeline.Config{
+		Approx:    opts.approxOptions(),
+		WithDynCG: b.HasDynCG,
+	})
 	if err != nil {
 		return nil, err
 	}
-	rel, err := static.Analyze(b.Project, static.Options{Mode: static.WithHints, Hints: ar.Hints})
-	if err != nil {
-		return nil, err
-	}
-	abl := rel
-	if static.WriteHintsApply(ar.Hints) {
-		// Only [DPW] write hints distinguish the two arms; without them the
-		// name-only system is the relational one.
-		abl, err = static.Analyze(b.Project, static.Options{Mode: static.AblationNameOnly, Hints: ar.Hints})
-		if err != nil {
-			return nil, err
-		}
-	}
+	rel := res.Extended.Metrics()
 	out := &AblationOutcome{
 		Name:                  b.Project.Name,
-		RelationalEdges:       rel.Graph.NumEdges(),
-		NameOnlyEdges:         abl.Graph.NumEdges(),
-		RelationalMonomorphic: rel.Metrics().MonomorphicPct,
-		NameOnlyMonomorphic:   abl.Metrics().MonomorphicPct,
+		RelationalEdges:       rel.CallEdges,
+		NameOnlyEdges:         rel.CallEdges,
+		RelationalMonomorphic: rel.MonomorphicPct,
+		NameOnlyMonomorphic:   rel.MonomorphicPct,
+		RelationalPrecision:   res.ExtendedAccuracy.Precision,
+		NameOnlyPrecision:     res.ExtendedAccuracy.Precision,
 	}
-	if b.HasDynCG {
-		dr, err := dynGraph(b, dyncg.Options{})
-		if err != nil {
+	// Only [DPW] write hints distinguish the two arms; without them the
+	// name-only system is the relational one.
+	if static.WriteHintsApply(res.Approx.Hints) {
+		var dyn *callgraph.Graph
+		if res.Dynamic != nil {
+			dyn = res.Dynamic.Graph
+		}
+		if err := nameOnlyRow(out, b, res.Approx, dyn); err != nil {
 			return nil, err
 		}
-		out.RelationalPrecision = callgraph.CompareWithDynamic(rel.Graph, dr.Graph).Precision
-		out.NameOnlyPrecision = callgraph.CompareWithDynamic(abl.Graph, dr.Graph).Precision
 	}
 	return out, nil
+}
+
+// nameOnlyRow solves the name-only arm with ar's hints, degraded like the
+// relational arm, and fills its columns of out; the precision column only
+// when a dynamic graph is given.
+func nameOnlyRow(out *AblationOutcome, b *corpus.Benchmark, ar *approx.Result, dyn *callgraph.Graph) error {
+	abl, err := static.Analyze(b.Project, static.Options{
+		Mode: static.AblationNameOnly, Hints: ar.Hints, DegradeFiles: ar.FaultedModules(),
+	})
+	if err != nil {
+		return err
+	}
+	out.NameOnlyEdges = abl.Graph.NumEdges()
+	out.NameOnlyMonomorphic = abl.Metrics().MonomorphicPct
+	if dyn != nil {
+		out.NameOnlyPrecision = callgraph.CompareWithDynamic(abl.Graph, dyn).Precision
+	}
+	return nil
 }
 
 // ScaleRow is one size tier of the scalability study: how analysis cost

@@ -7,6 +7,7 @@ import (
 	"repro/internal/approx"
 	"repro/internal/corpus"
 	"repro/internal/modules"
+	"repro/internal/pipeline"
 	"repro/internal/static"
 )
 
@@ -30,23 +31,41 @@ type ExtensionOutcome struct {
 	CacheMisses int
 }
 
-// RunExtensions evaluates the §6 extensions on one project. prior, when
-// non-nil, is the main corpus run's outcome for the same project: its
-// extended analysis solved the identical constraint system as the
-// plain-hints variant, so that re-solve is skipped (only when the outcome
-// is fault-free — degradation changes the extended graph). Pass nil to
-// solve all four variants from scratch.
+// RunExtensions evaluates the §6 extensions on one project. The
+// plain-hints variant is pipeline.Run's extended analysis; prior, when
+// non-nil, is the main corpus run's outcome for the same project, whose
+// extended analysis solved that identical system, so only the
+// pre-analysis reruns (only when the outcome is fault-free — degradation
+// changes the extended graph). Pass nil to solve all four variants.
 func RunExtensions(project *modules.Project, cache *approx.Cache, prior *Outcome) (*ExtensionOutcome, error) {
-	ar, err := approx.Run(project, approx.Options{})
-	if err != nil {
-		return nil, err
-	}
+	return runExtensions(project, cache, prior, Options{})
+}
+
+func runExtensions(project *modules.Project, cache *approx.Cache, prior *Outcome, opts Options) (*ExtensionOutcome, error) {
 	out := &ExtensionOutcome{Name: project.Name}
+	aopts := opts.approxOptions()
+	var ar *approx.Result
+	var err error
+	if prior != nil && prior.Name == project.Name &&
+		len(prior.Faults) == 0 && len(prior.DegradedModules) == 0 {
+		if ar, err = pipeline.PreAnalyze(project, aopts); err != nil {
+			return nil, err
+		}
+		out.EdgesPlain = prior.Ext.CallEdges
+	} else {
+		res, err := pipeline.Run(project, pipeline.Config{Approx: aopts})
+		if err != nil {
+			return nil, err
+		}
+		ar = res.Approx
+		out.EdgesPlain = res.Extended.Graph.NumEdges()
+	}
 
 	analyze := func(unknownArgs, evalCode bool) (int, error) {
 		res, err := static.Analyze(project, static.Options{
 			Mode:            static.WithHints,
 			Hints:           ar.Hints,
+			DegradeFiles:    ar.FaultedModules(),
 			UnknownArgHints: unknownArgs,
 			EvalHints:       evalCode,
 		})
@@ -54,12 +73,6 @@ func RunExtensions(project *modules.Project, cache *approx.Cache, prior *Outcome
 			return 0, err
 		}
 		return res.Graph.NumEdges(), nil
-	}
-	if prior != nil && prior.Name == project.Name &&
-		len(prior.Faults) == 0 && len(prior.DegradedModules) == 0 {
-		out.EdgesPlain = prior.Ext.CallEdges
-	} else if out.EdgesPlain, err = analyze(false, false); err != nil {
-		return nil, err
 	}
 
 	// Variants whose hint delta is empty solve the identical constraint

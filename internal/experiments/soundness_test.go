@@ -6,11 +6,9 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/approx"
 	"repro/internal/corpus"
-	"repro/internal/dyncg"
 	"repro/internal/fuzz"
-	"repro/internal/static"
+	"repro/internal/pipeline"
 )
 
 // soundnessSolverWorkers selects the solver-worker count for the corpus
@@ -57,23 +55,14 @@ func TestCorpusSoundnessOracle(t *testing.T) {
 		}
 		checked++
 		name := b.Project.Name
-		dr, err := dynGraph(b, dyncg.Options{})
-		if err != nil {
-			t.Fatalf("%s: dyncg: %v", name, err)
-		}
-		ar, err := approx.Run(b.Project, approx.Options{})
-		if err != nil {
-			t.Fatalf("%s: approx: %v", name, err)
-		}
-		_, ext, err := static.AnalyzeBoth(b.Project, static.Options{
-			Mode: static.WithHints, Hints: ar.Hints, EvalHints: true,
-			SolverWorkers: solverWorkers,
+		res, err := pipeline.Run(b.Project, pipeline.Config{
+			EvalHints: true, SolverWorkers: solverWorkers, WithDynCG: true,
 		})
 		if err != nil {
-			t.Fatalf("%s: static: %v", name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		var got []string
-		for _, e := range fuzz.MissingDynamicEdges(ext.Graph, dr.Graph) {
+		for _, e := range fuzz.MissingDynamicEdges(res.Extended.Graph, res.Dynamic.Graph) {
 			bucket := fuzz.ClassifyEdge(b.Project.Files, e.Site, e.Target)
 			got = append(got, fmt.Sprintf("%s -> %s [%s]", e.Site, e.Target, bucket))
 		}

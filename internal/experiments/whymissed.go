@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/approx"
 	"repro/internal/corpus"
-	"repro/internal/dyncg"
 	"repro/internal/fuzz"
-	"repro/internal/static"
+	"repro/internal/pipeline"
 )
 
 // BenchmarkAttribution is the root-cause attribution of one benchmark's
@@ -51,8 +49,9 @@ func (r *WhyMissedReport) Unattributed() int {
 	return n
 }
 
-// RunWhyMissed runs the full pipeline — dynamic call graph, approximate
-// interpretation, incremental baseline→extended analysis with provenance —
+// RunWhyMissed runs the full pipeline — approximate interpretation,
+// incremental baseline→extended analysis with provenance, dynamic call
+// graph —
 // on every benchmark with dynamic ground truth and attributes each missed
 // edge via the provenance journal. solverWorkers selects the solver engine
 // (attribution output is identical at every value).
@@ -64,23 +63,14 @@ func RunWhyMissed(bs []*corpus.Benchmark, solverWorkers int) (*WhyMissedReport, 
 			continue
 		}
 		name := b.Project.Name
-		dr, err := dynGraph(b, dyncg.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("%s: dyncg: %w", name, err)
-		}
-		ar, err := approx.Run(b.Project, approx.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("%s: approx: %w", name, err)
-		}
-		_, ext, err := static.AnalyzeBoth(b.Project, static.Options{
-			Mode: static.WithHints, Hints: ar.Hints, EvalHints: true,
-			DegradeFiles:  ar.FaultedModules(),
-			SolverWorkers: solverWorkers, Provenance: true,
+		res, err := pipeline.Run(b.Project, pipeline.Config{
+			SolverWorkers: solverWorkers, EvalHints: true, Provenance: true,
+			WithDynCG: true,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("%s: static: %w", name, err)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		causes := fuzz.AttributeMissedEdges(b.Project, dr.Graph, ar, ext)
+		causes := fuzz.AttributeMissedEdges(b.Project, res.Dynamic.Graph, res.Approx, res.Extended)
 		rep.Benchmarks = append(rep.Benchmarks, BenchmarkAttribution{Name: name, Causes: causes})
 		all = append(all, causes...)
 	}

@@ -7,9 +7,9 @@ import (
 
 	"repro/internal/approx"
 	"repro/internal/callgraph"
-	"repro/internal/dyncg"
 	"repro/internal/loc"
 	"repro/internal/modules"
+	"repro/internal/pipeline"
 	"repro/internal/static"
 )
 
@@ -245,23 +245,11 @@ func mergeLocs(a, b []loc.Loc) []loc.Loc {
 // that keeps the open reproducers' recorded causes honest.
 func AttributeRepro(r *Repro) ([]RootCause, error) {
 	project := newFuzzProject(r.Files, r.Entries)
-	dyn, err := dyncg.Build(project, dyncg.Options{})
+	res, err := pipeline.Run(project, pipeline.Config{EvalHints: true, Provenance: true, WithDynCG: true})
 	if err != nil {
-		return nil, fmt.Errorf("dyncg: %w", err)
+		return nil, err
 	}
-	ar, err := approx.Run(project, approx.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("approx: %w", err)
-	}
-	_, ext, err := static.AnalyzeBoth(project, static.Options{
-		Mode: static.WithHints, Hints: ar.Hints, EvalHints: true,
-		DegradeFiles: ar.FaultedModules(),
-		Provenance:   true,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("static: %w", err)
-	}
-	return AttributeMissedEdges(project, dyn.Graph, ar, ext), nil
+	return AttributeMissedEdges(project, res.Dynamic.Graph, res.Approx, res.Extended), nil
 }
 
 // Annotate embeds the first attribution's cause and chain summary in the

@@ -62,16 +62,25 @@ type memoEntry struct {
 
 // Memo returns the value build computes for key, calling build at most
 // once per project and key, also under concurrent callers. The value lives
-// exactly as long as the project, so an artifact several consumers share
-// (the dynamic call graph behind both the accuracy and the ablation
-// tables) is released together with the project that produced it. Keys
-// follow the context.WithValue convention: an unexported type of the
-// calling package.
+// as long as the project, or until ForgetMemos, so an artifact several
+// consumers share (the dynamic call graph behind both the accuracy and the
+// ablation tables) is released together with the project that produced
+// it. Keys follow the context.WithValue convention: an unexported type of
+// the calling package.
 func (p *Project) Memo(key any, build func() any) any {
 	e, _ := p.memo.LoadOrStore(key, &memoEntry{})
 	ent := e.(*memoEntry)
 	ent.once.Do(func() { ent.v = build() })
 	return ent.v
+}
+
+// ForgetMemos drops every Memo value. Whoever edits Files in place calls
+// it, since memoized artifacts describe the old file set.
+func (p *Project) ForgetMemos() {
+	p.memo.Range(func(key, _ any) bool {
+		p.memo.Delete(key)
+		return true
+	})
 }
 
 // ErrNoSource reports a path with neither a project file nor a built-in

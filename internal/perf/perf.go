@@ -1,9 +1,10 @@
 // Package perf provides lightweight, concurrency-safe phase timers and
 // counters for the analysis pipeline. The packages doing the work (modules
-// for parsing, static for constraint solving, core and experiments for
-// phase orchestration) record into the process-wide Global counters;
-// cmd/evaluate resets them before a run, snapshots them after, and renders
-// the snapshot as a report or as BENCH_baseline.json.
+// for parsing, static for constraint solving, pipeline for phase times,
+// experiments for per-benchmark totals) record into the process-wide Global
+// counters; cmd/evaluate resets them before a run, snapshots them after,
+// and renders the snapshot as a report or as -benchjson output (the
+// format of BENCH_cycles.json).
 //
 // All methods are safe for concurrent use — the parallel corpus driver has
 // many workers recording at once — and the zero Counters value is ready.
@@ -250,7 +251,7 @@ func (c *Counters) Reset() {
 }
 
 // Snapshot is a point-in-time copy of the counters, serializable as
-// BENCH_baseline.json. Workers and WallMS describe the run as a whole and
+// -benchjson output (BENCH_cycles.json). Workers and WallMS describe the run as a whole and
 // are filled in by the driver.
 type Snapshot struct {
 	Workers int     `json:"workers,omitempty"`

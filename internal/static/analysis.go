@@ -40,8 +40,6 @@ type Options struct {
 	// DisableDPR turns off the read-hint rule while keeping [DPW]
 	// (used for the Table 2 benchmark marked *, where [dpr] caused OOM).
 	DisableDPR bool
-	// DisableModuleHints turns off dynamic-module-load hint consumption.
-	DisableModuleHints bool
 	// EvalHints enables the §6 "dynamically generated code" extension:
 	// program text observed at eval sites during approximate
 	// interpretation is parsed and analyzed as additional code in the

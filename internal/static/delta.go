@@ -67,7 +67,8 @@ func (s *DeltaSession) Project() *modules.Project { return s.project }
 // Update applies a file delta: changed maps paths to their new content
 // (added or overwritten), removed lists paths to delete. Parses of the
 // superseded file versions are evicted from the in-memory cache so a
-// long-lived session's memory stays bounded by its current file set.
+// long-lived session's memory stays bounded by its current file set, and
+// artifacts memoized on the project (modules.Project.Memo) are dropped.
 func (s *DeltaSession) Update(changed map[string]string, removed []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -81,6 +82,7 @@ func (s *DeltaSession) Update(changed map[string]string, removed []string) {
 		delete(s.project.Files, path)
 	}
 	s.project.PruneParses()
+	s.project.ForgetMemos()
 }
 
 // Analyze runs (or reuses) the incremental baseline+extended analysis of
@@ -182,9 +184,8 @@ func (s *DeltaSession) inputFingerprint(opts Options) string {
 		wr(path)
 		wr(p.Files[path])
 	}
-	wr(fmt.Sprintf("opts %d %t %t %t %t", opts.Mode,
-		opts.DisableDPR, opts.DisableModuleHints, opts.EvalHints,
-		opts.UnknownArgHints))
+	wr(fmt.Sprintf("opts %d %t %t %t", opts.Mode,
+		opts.DisableDPR, opts.EvalHints, opts.UnknownArgHints))
 	if opts.Hints != nil {
 		var hj bytes.Buffer
 		_ = opts.Hints.WriteJSON(&hj)

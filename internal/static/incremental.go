@@ -153,7 +153,7 @@ func AnalyzeBoth(project *modules.Project, opts Options) (baseline, extended *Re
 // the resumed solve consume the hints directly in requireCall; linking is
 // idempotent, so a site may safely take both paths.
 func (a *analyzer) injectModuleHintDeltas() {
-	if a.opts.Mode == Baseline || a.opts.DisableModuleHints || a.opts.Hints == nil {
+	if a.opts.Mode == Baseline || a.opts.Hints == nil {
 		return
 	}
 	for _, mh := range a.opts.Hints.ModuleHints() {

@@ -873,7 +873,7 @@ func (a *analyzer) requireCall(site loc.Loc, result Var) {
 	// fires once per callee token, so an incremental resume needs the site
 	// on record to retro-link module hints after the baseline fixpoint.
 	a.dynRequires[site] = result
-	if a.opts.Mode != Baseline && !a.opts.DisableModuleHints && a.opts.Hints != nil {
+	if a.opts.Mode != Baseline && a.opts.Hints != nil {
 		for _, mh := range a.opts.Hints.ModuleHints() {
 			if mh.Site == site {
 				prev := a.pushCtx(RuleModuleHint, site, mh.Path)
