@@ -23,35 +23,23 @@ import (
 )
 
 // runMega runs the mega-tier solver-scaling benchmark (experiments
-// .RunMegaBench over the default worker arms), renders the scaling table,
-// and optionally writes the perf.ParallelSnapshot JSON for cmd/benchcheck.
+// .RunMegaBench over the default worker arms), renders its rows, and
+// optionally writes them as BENCH_parallel.json for cmd/benchcheck.
 func runMega(nModules int, benchout string) {
 	fmt.Printf("Mega-tier solver scaling (workers %v)…\n", experiments.DefaultMegaWorkers)
-	snap, err := experiments.RunMegaBench(nModules, experiments.DefaultMegaWorkers)
+	bench, err := experiments.RunMegaBench(nModules, experiments.DefaultMegaWorkers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evaluate: mega:", err)
 		os.Exit(1)
 	}
-	snap.Render(os.Stdout)
-	if benchout != "" {
-		f, err := os.Create(benchout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "evaluate:", err)
-			os.Exit(1)
-		}
-		if err := snap.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, "evaluate:", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("wrote %s\n", benchout)
-	}
+	bench.Render(os.Stdout)
+	writeBench(benchout, bench)
 }
 
 // runDelta runs the persistent-cache delta benchmark (cold / warm /
 // one-file-edit corpus evaluations against one cache directory, reports
-// asserted byte-identical in-harness), renders the table, and optionally
-// writes the perf.DeltaSnapshot JSON (BENCH_delta.json) for cmd/benchcheck.
+// asserted byte-identical in-harness), renders its rows, and optionally
+// writes them as BENCH_delta.json for cmd/benchcheck.
 func runDelta(cacheDir, benchout string, workers int) {
 	dir := cacheDir
 	if dir == "" {
@@ -64,25 +52,32 @@ func runDelta(cacheDir, benchout string, workers int) {
 		dir = tmp
 	}
 	fmt.Printf("Delta benchmark (cache dir %s)…\n", dir)
-	snap, err := experiments.RunDeltaBench(dir, experiments.Options{Workers: workers})
+	bench, err := experiments.RunDeltaBench(dir, experiments.Options{Workers: workers})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evaluate: delta:", err)
 		os.Exit(1)
 	}
-	snap.Render(os.Stdout)
-	if benchout != "" {
-		f, err := os.Create(benchout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "evaluate:", err)
-			os.Exit(1)
-		}
-		if err := snap.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, "evaluate:", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("wrote %s\n", benchout)
+	bench.Render(os.Stdout)
+	writeBench(benchout, bench)
+}
+
+// writeBench writes a BENCH file to path; an empty path writes nothing.
+func writeBench(path string, bench *perf.Bench) {
+	if path == "" {
+		return
 	}
+	f, err := os.Create(path)
+	if err == nil {
+		err = bench.WriteJSON(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "evaluate:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("wrote %s\n", path)
 }
 
 func main() {
@@ -106,12 +101,12 @@ func main() {
 		csvDir   = flag.String("csv", "", "also write figure/table data as CSV files into this directory")
 		workers  = flag.Int("workers", 0, "parallel benchmark workers (0 = NumCPU)")
 		solverW  = flag.Int("solver-workers", 0, "scan workers of the sharded epoch solver per benchmark (<= 1 = one inline worker — reports are identical at every value)")
-		mega     = flag.Bool("mega", false, "run the mega-tier solver-scaling benchmark instead of the corpus experiments; with -benchjson the perf.ParallelSnapshot is written there (BENCH_parallel.json)")
+		mega     = flag.Bool("mega", false, "run the mega-tier solver-scaling benchmark instead of the corpus experiments; with -benchjson its rows (one per solver-worker count) are written there (BENCH_parallel.json)")
 		megaMods = flag.Int("mega-modules", 0, "mega-tier module count (0 = corpus.DefaultMegaModules)")
 		cacheDir = flag.String("cache-dir", "", "persistent artifact cache directory (parses, hint sets, solved outcomes); created if missing — a second run against the same directory reuses everything that still matches")
-		delta    = flag.Bool("delta", false, "run the cache delta benchmark (cold/warm/one-file-edit corpus runs, byte-identical reports asserted) instead of the corpus experiments; uses -cache-dir or a temp dir, and -benchjson writes the snapshot (BENCH_delta.json)")
+		delta    = flag.Bool("delta", false, "run the cache delta benchmark (cold/warm/one-file-edit corpus runs, byte-identical reports asserted) instead of the corpus experiments; uses -cache-dir or a temp dir, and -benchjson writes its rows (BENCH_delta.json)")
 		perfF    = flag.Bool("perf", false, "print pipeline perf counters (phase times, parse-cache hits, solver effort)")
-		benchout = flag.String("benchjson", "", "write per-phase wall times and counter totals as JSON to this file (e.g. /tmp/bench.json, the input of cmd/benchcheck -got)")
+		benchout = flag.String("benchjson", "", "write the run's counters and phase wall times as a BENCH JSON file (e.g. /tmp/bench.json, compared by cmd/benchcheck -pair BENCH_cycles.json=/tmp/bench.json)")
 
 		approxDeadline = flag.Duration("approx-deadline", 0, "wall-clock deadline per approximate-interpretation worklist item (0 = unlimited); tripped items become contained faults and their modules degrade to baseline-only hints")
 		dyncgDeadline  = flag.Duration("dyncg-deadline", 0, "wall-clock deadline per dynamic-call-graph entry module (0 = unlimited)")
@@ -173,7 +168,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	perf.Global().Reset()
 	start := time.Now()
 
 	fmt.Printf("Evaluating %d benchmarks (dynamic call graphs: %v, workers: %d)…\n", len(benches), needDyn, nWorkers)
@@ -279,8 +273,12 @@ func main() {
 	// them instead of re-solving the identical constraint system; reuse is
 	// declined per benchmark when the outcome saw faults or degradation.
 	outByName := map[string]*experiments.Outcome{}
+	// The run's counter record: every evaluation's own work, then what the
+	// run owns (the projects' parse caches, the store) once at the end.
+	total := perf.Snapshot{Label: "corpus", Workers: nWorkers}
 	for _, o := range outs {
 		outByName[o.Name] = o
+		total.Add(o.Perf)
 	}
 
 	if *ablation {
@@ -293,17 +291,24 @@ func main() {
 				os.Exit(1)
 			}
 			abl = append(abl, o)
+			total.Add(o.Perf)
 		}
 		experiments.RenderAblation(w, abl)
 	}
+	// The extension table runs on fresh projects; the run owns them too.
+	var extBenches []*corpus.Benchmark
 	if *exts {
 		experiments.Banner(w, "§6 extensions")
-		eo, err := experiments.RunExtensionsCorpus(corpus.WithDynCG()[:12], outByName)
+		extBenches = corpus.WithDynCG()[:12]
+		eo, err := experiments.RunExtensionsCorpus(extBenches, outByName)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "evaluate: extensions:", err)
 			os.Exit(1)
 		}
 		experiments.RenderExtensions(w, eo)
+		for _, o := range eo {
+			total.Add(o.Perf)
+		}
 	}
 	if *scale {
 		experiments.Banner(w, "Scalability")
@@ -315,25 +320,13 @@ func main() {
 	}
 
 	if *perfF || *benchout != "" {
-		snap := perf.Global().Snapshot()
-		snap.Workers = nWorkers
-		snap.WallMS = float64(time.Since(start).Microseconds()) / 1000
+		total.Add(experiments.OwnedCounters(benches, store))
+		total.Add(experiments.OwnedCounters(extBenches, nil))
+		total.WallMS = float64(time.Since(start).Microseconds()) / 1000
 		if *perfF {
 			experiments.Banner(w, "Perf counters")
-			snap.Render(w)
+			total.Render(w)
 		}
-		if *benchout != "" {
-			f, err := os.Create(*benchout)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "evaluate:", err)
-				os.Exit(1)
-			}
-			if err := snap.WriteJSON(f); err != nil {
-				fmt.Fprintln(os.Stderr, "evaluate:", err)
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Printf("wrote %s\n", *benchout)
-		}
+		writeBench(*benchout, &perf.Bench{MaxProcs: runtime.GOMAXPROCS(0), Rows: []perf.Snapshot{total}})
 	}
 }

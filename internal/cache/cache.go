@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"repro/internal/modules"
-	"repro/internal/perf"
 )
 
 // FormatVersion is the on-disk frame version. Bumping it invalidates every
@@ -97,7 +96,7 @@ func sweepTempFiles(dir string, cutoff time.Time) {
 func (s *Store) Dir() string { return s.dir }
 
 // Stats reports loads served, loads missed, and bytes written by this
-// Store value (process-wide totals live in the perf counters).
+// Store value since it was opened.
 func (s *Store) Stats() (hits, misses, bytesWritten int64) {
 	return s.hits.Load(), s.misses.Load(), s.bytesWritten.Load()
 }
@@ -133,13 +132,11 @@ func (s *Store) Get(kind, key string) (payload []byte, ok bool) {
 		if data, err := os.ReadFile(s.entryPath(kind, key)); err == nil {
 			if p, ok := decodeFrame(data, kind); ok {
 				s.hits.Add(1)
-				perf.Global().AddCacheHit()
 				return p, true
 			}
 		}
 	}
 	s.misses.Add(1)
-	perf.Global().AddCacheMiss()
 	return nil, false
 }
 
@@ -173,9 +170,7 @@ func (s *Store) Put(kind, key string, payload []byte) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	n := int64(len(frame))
-	s.bytesWritten.Add(n)
-	perf.Global().AddCacheBytes(n)
+	s.bytesWritten.Add(int64(len(frame)))
 	return nil
 }
 

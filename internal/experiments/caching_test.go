@@ -13,23 +13,23 @@ import (
 // be served entirely from outcome artifacts — zero parses, zero misses on
 // the outcome path — and render byte-identical content reports.
 func TestCorpusCacheWarmRun(t *testing.T) {
-	store, err := cache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{WithDynCG: true, Cache: store}
-
+	dir := t.TempDir()
 	run := func() ([]*Outcome, []byte, perf.Snapshot) {
 		t.Helper()
-		bs := corpus.WithDynCG()[:4]
-		perf.Global().Reset()
-		outs, err := RunCorpusOpts(bs, opts)
+		// One Store value per run, like deltaArm, so its counters are the
+		// run's own.
+		store, err := cache.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Snapshot before rendering, like deltaArm: the vulnerability study
+		bs := corpus.WithDynCG()[:4]
+		outs, err := RunCorpusOpts(bs, Options{WithDynCG: true, Cache: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Counted before rendering, like deltaArm: the vulnerability study
 		// rebuilds dynamic graphs and its parses are not analysis cost.
-		snap := perf.Global().Snapshot()
+		snap := totalCounters(outs, bs, store)
 		reports, err := renderContentReports(bs, outs)
 		if err != nil {
 			t.Fatal(err)
@@ -61,6 +61,12 @@ func TestCorpusCacheWarmRun(t *testing.T) {
 	if warm.SolveIterations != 0 || warm.TokensDelivered != 0 {
 		t.Errorf("warm run did solver work: %d iterations, %d tokens", warm.SolveIterations, warm.TokensDelivered)
 	}
+	if warm.Projects != int64(len(outs2)) {
+		t.Errorf("warm run counted %d projects, want %d", warm.Projects, len(outs2))
+	}
+	if cold.SolveIterations == 0 || cold.TokensDelivered == 0 || cold.TokensDeliveredBase == 0 {
+		t.Errorf("cold run recorded no solver work: %+v", cold)
+	}
 
 	// Cached outcomes must reproduce everything, including timings (they
 	// are stored so warm runs render identical timing tables).
@@ -79,12 +85,12 @@ func TestCorpusCacheWarmRun(t *testing.T) {
 // TestCorpusCacheEditInvalidates: editing one project's file invalidates
 // exactly that project's whole-outcome artifact; the rest still hit.
 func TestCorpusCacheEditInvalidates(t *testing.T) {
-	store, err := cache.Open(t.TempDir())
+	dir := t.TempDir()
+	store, err := cache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{WithDynCG: true, Cache: store}
-	if _, err := RunCorpusOpts(corpus.WithDynCG()[:4], opts); err != nil {
+	if _, err := RunCorpusOpts(corpus.WithDynCG()[:4], Options{WithDynCG: true, Cache: store}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -93,12 +99,18 @@ func TestCorpusCacheEditInvalidates(t *testing.T) {
 	if edited == "" {
 		t.Fatal("no editable benchmark")
 	}
-	perf.Global().Reset()
-	outs, err := RunCorpusOpts(bs, opts)
+	if store, err = cache.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	outs, err := RunCorpusOpts(bs, Options{WithDynCG: true, Cache: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := perf.Global().Snapshot()
+	snap := totalCounters(outs, bs, store)
+	if snap.SolveIterations == 0 || snap.SolveIterations != outs[0].Perf.SolveIterations {
+		t.Errorf("solver iterations %d, want the edited project's %d and nothing else",
+			snap.SolveIterations, outs[0].Perf.SolveIterations)
+	}
 	if snap.DeltaModulesRean != int64(len(bs[0].Project.Files)) {
 		t.Errorf("reanalyzed %d modules, want the edited project's %d", snap.DeltaModulesRean, len(bs[0].Project.Files))
 	}
@@ -131,25 +143,45 @@ func TestRunDeltaBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus benchmark; skipped in -short")
 	}
-	snap, err := RunDeltaBench(t.TempDir(), Options{})
+	bench, err := RunDeltaBench(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !snap.ReportsIdentical {
+	if !bench.ReportsIdentical {
 		t.Error("harness returned without asserting report identity")
 	}
-	if len(snap.Runs) != 4 {
-		t.Fatalf("got %d runs, want 4", len(snap.Runs))
+	if len(bench.Rows) != 4 {
+		t.Fatalf("got %d rows, want 4", len(bench.Rows))
 	}
-	warm := snap.Run("warm")
-	if warm == nil || warm.CacheMisses != 0 || warm.Parses != 0 {
+	warm := bench.Row("warm")
+	if warm == nil || warm.CacheMisses != 0 || warm.Parses != 0 || warm.TokensDelivered != 0 {
 		t.Errorf("warm arm not fully cached: %+v", warm)
 	}
-	if snap.WarmSpeedup < 5 || snap.EditSpeedup < 5 {
-		t.Errorf("speedups %.1fx/%.1fx below the 5x floor", snap.WarmSpeedup, snap.EditSpeedup)
+	if warm != nil && warm.CacheHits != int64(corpus.Size) {
+		t.Errorf("warm arm hit %d artifacts, want one outcome per project (%d)", warm.CacheHits, corpus.Size)
 	}
-	editWarm := snap.Run("edit-warm")
+	if r := bench.Ratios(); r.WarmSpeedup < 5 || r.EditSpeedup < 5 {
+		t.Errorf("speedups %.1fx/%.1fx below the 5x floor", r.WarmSpeedup, r.EditSpeedup)
+	}
+	editWarm := bench.Row("edit-warm")
 	if editWarm == nil || editWarm.DeltaModulesRean == 0 {
 		t.Errorf("edit-warm arm reanalyzed no modules: %+v", editWarm)
 	}
+	cold, scratch := bench.Row("cold"), bench.Row("edit-scratch")
+	if cold == nil || cold.TokensDelivered == 0 || cold.CacheMisses == 0 || cold.CacheBytesWritten == 0 {
+		t.Errorf("cold arm recorded no solver work or cache misses: %+v", cold)
+	}
+	if scratch == nil || scratch.CacheHits+scratch.CacheMisses != 0 {
+		t.Errorf("edit-scratch arm ran without a store but recorded cache traffic: %+v", scratch)
+	}
+}
+
+// totalCounters sums a corpus run's counters the way the drivers do.
+func totalCounters(outs []*Outcome, bs []*corpus.Benchmark, store *cache.Store) perf.Snapshot {
+	var s perf.Snapshot
+	for _, o := range outs {
+		s.Add(o.Perf)
+	}
+	s.Add(OwnedCounters(bs, store))
+	return s
 }

@@ -9,6 +9,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/cache"
@@ -69,32 +70,42 @@ func renderContentReports(bs []*corpus.Benchmark, outs []*Outcome) ([]byte, erro
 
 // deltaArm runs one benchmark arm: a full corpus evaluation (fresh
 // benchmark values, so no in-memory state leaks between arms) against the
-// given store (nil = no cache), optionally with the one-file edit applied.
-func deltaArm(label string, store *cache.Store, edit bool, opts Options) (row perf.DeltaRow, reports []byte, project, file string, err error) {
+// cache directory dir ("" = no cache), optionally with the one-file edit
+// applied. Each arm opens its own Store, so the row's cache counters are
+// the arm's alone.
+func deltaArm(label, dir string, edit bool, opts Options) (row perf.Snapshot, reports []byte, err error) {
 	bs := corpus.All()
 	if edit {
-		project, file = applyDeltaEdit(bs)
-		if project == "" {
-			return row, nil, "", "", fmt.Errorf("delta: no editable benchmark in corpus")
+		if project, _ := applyDeltaEdit(bs); project == "" {
+			return row, nil, fmt.Errorf("delta: no editable benchmark in corpus")
 		}
 	}
-	perf.Global().Reset()
+	var store *cache.Store
+	if dir != "" {
+		if store, err = cache.Open(dir); err != nil {
+			return row, nil, err
+		}
+	}
 	start := time.Now()
 	runOpts := opts
 	runOpts.WithDynCG = true
 	runOpts.Cache = store
 	outs, err := RunCorpusOpts(bs, runOpts)
 	if err != nil {
-		return row, nil, "", "", fmt.Errorf("delta %s: %w", label, err)
+		return row, nil, fmt.Errorf("delta %s: %w", label, err)
 	}
-	wall := time.Since(start)
-	snap := perf.Global().Snapshot()
-	snap.WallMS = float64(wall.Microseconds()) / 1000
+	row = perf.Snapshot{Label: label, WallMS: float64(time.Since(start).Microseconds()) / 1000}
+	for _, o := range outs {
+		row.Add(o.Perf)
+	}
+	// Counted before rendering: the vulnerability study's parses are not
+	// analysis cost.
+	row.Add(OwnedCounters(bs, store))
 	reports, err = renderContentReports(bs, outs)
 	if err != nil {
-		return row, nil, "", "", fmt.Errorf("delta %s: %w", label, err)
+		return row, nil, fmt.Errorf("delta %s: %w", label, err)
 	}
-	return perf.DeltaRowFrom(label, snap), reports, project, file, nil
+	return row, reports, nil
 }
 
 // RunDeltaBench measures the persistent cache end to end against the full
@@ -106,36 +117,29 @@ func deltaArm(label string, store *cache.Store, edit bool, opts Options) (row pe
 //	edit-warm     one file edited, same store — one project re-analyzes
 //	edit-scratch  same edited corpus, no cache — the from-scratch referee
 //
-// Two report comparisons are asserted before a snapshot is produced, and
-// a mismatch is a hard error of the benchmark itself: warm must render
+// Two report comparisons are asserted before a Bench is produced, and a
+// mismatch is a hard error of the benchmark itself: warm must render
 // byte-identical content reports to cold (same corpus, so any drift means
 // the cache served a wrong artifact), and edit-warm must render
 // byte-identical content reports to edit-scratch (the delta path must be
 // indistinguishable from a restart on the edited corpus).
-func RunDeltaBench(dir string, opts Options) (*perf.DeltaSnapshot, error) {
-	store, err := cache.Open(dir)
+func RunDeltaBench(dir string, opts Options) (*perf.Bench, error) {
+	cold, coldReports, err := deltaArm("cold", dir, false, opts)
 	if err != nil {
 		return nil, err
 	}
-	snap := &perf.DeltaSnapshot{CorpusProjects: corpus.Size}
-
-	cold, coldReports, _, _, err := deltaArm("cold", store, false, opts)
-	if err != nil {
-		return nil, err
-	}
-	warm, warmReports, _, _, err := deltaArm("warm", store, false, opts)
+	warm, warmReports, err := deltaArm("warm", dir, false, opts)
 	if err != nil {
 		return nil, err
 	}
 	if !bytes.Equal(coldReports, warmReports) {
 		return nil, fmt.Errorf("delta: warm-run reports differ from cold run (cache served a wrong artifact)")
 	}
-	editWarm, editWarmReports, project, file, err := deltaArm("edit-warm", store, true, opts)
+	editWarm, editWarmReports, err := deltaArm("edit-warm", dir, true, opts)
 	if err != nil {
 		return nil, err
 	}
-	snap.EditedProject, snap.EditedFile = project, file
-	editScratch, editScratchReports, _, _, err := deltaArm("edit-scratch", nil, true, opts)
+	editScratch, editScratchReports, err := deltaArm("edit-scratch", "", true, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -145,14 +149,9 @@ func RunDeltaBench(dir string, opts Options) (*perf.DeltaSnapshot, error) {
 	if bytes.Equal(coldReports, editWarmReports) {
 		return nil, fmt.Errorf("delta: edit did not change the reports — the probe edit was not analyzed")
 	}
-	snap.ReportsIdentical = true
-
-	snap.Runs = []perf.DeltaRow{cold, warm, editWarm, editScratch}
-	if warm.WallMS > 0 {
-		snap.WarmSpeedup = cold.WallMS / warm.WallMS
-	}
-	if editWarm.WallMS > 0 {
-		snap.EditSpeedup = cold.WallMS / editWarm.WallMS
-	}
-	return snap, nil
+	return &perf.Bench{
+		MaxProcs:         runtime.GOMAXPROCS(0),
+		ReportsIdentical: true,
+		Rows:             []perf.Snapshot{cold, warm, editWarm, editScratch},
+	}, nil
 }

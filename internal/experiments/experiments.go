@@ -21,6 +21,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/dyncg"
 	"repro/internal/fault"
+	"repro/internal/hints"
 	"repro/internal/interp"
 	"repro/internal/perf"
 	"repro/internal/pipeline"
@@ -53,6 +54,19 @@ type Outcome struct {
 	Faults          []fault.Record
 	DegradedModules []string
 
+	// Perf records the work this evaluation did: one project, the
+	// pipeline's solver counters, phase times and faults, the precomputed
+	// ablation solve, and the modules re-analyzed on an outcome-cache
+	// miss. An outcome-cache hit did no work and counts only its project.
+	// Parse and persistent-cache counts belong to the project and the
+	// store; the driver that owns them adds them (OwnedCounters).
+	Perf perf.Snapshot
+
+	// hints is the pre-analysis hint set of a clean run that was not
+	// served from the outcome cache; the ablation and §6 extension arms
+	// reuse it instead of pre-analyzing the project again.
+	hints *hints.Hints
+
 	// Reachable function sets (for the vulnerability study).
 	baseReach map[callgraph.FuncID]bool
 	extReach  map[callgraph.FuncID]bool
@@ -81,7 +95,7 @@ func RunBenchmark(b *corpus.Benchmark, withDyn bool) (*Outcome, error) {
 // Robustness: faults contained during the pre-analysis (recovered panics,
 // per-item deadline aborts when opts.ApproxDeadline is set, corrupt module
 // sources) degrade the faulted modules to baseline-only constraints in the
-// static phases and are reported on the Outcome and in the perf counters;
+// static phases and are reported on the Outcome and in its Perf record;
 // the benchmark still completes.
 func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 	// Whole-outcome reuse: an unchanged project (same content fingerprint,
@@ -93,16 +107,18 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 	if opts.Cache != nil {
 		cacheFP = cache.ProjectFingerprint(b.Project)
 		if cached, ok := loadOutcome(opts.Cache, outcomeKey(cacheFP, opts, b), b); ok {
-			perf.Global().AddProject()
+			cached.Perf.Projects = 1
 			return cached, nil
 		}
-		perf.Global().AddDeltaModules(len(b.Project.Files))
 		b.Project.SetParseStore(opts.Cache)
 		hintsCacheKey = approxKey(cacheFP, opts)
 	}
 
 	out := &Outcome{Name: b.Project.Name, HasDynCG: b.HasDynCG}
-	perf.Global().AddProject()
+	out.Perf.Projects = 1
+	if opts.Cache != nil {
+		out.Perf.DeltaModulesRean = int64(len(b.Project.Files))
+	}
 
 	st, err := corpus.ComputeStats(b)
 	if err != nil {
@@ -141,9 +157,14 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 		}
 	}
 
+	out.Perf.Add(res.Perf)
 	base, ext := res.Baseline, res.Extended
 	out.Faults = res.Faults
 	out.DegradedModules = res.DegradedModules
+	clean := len(out.Faults) == 0 && len(out.DegradedModules) == 0
+	if clean {
+		out.hints = res.Approx.Hints
+	}
 	out.BaselineTime = base.Duration
 	out.Base = base.Metrics()
 	out.baseReach = base.Graph.Reachable(base.MainEntries)
@@ -155,7 +176,7 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 		out.DynEdges = res.Dynamic.Graph.NumEdges()
 		out.BaseAcc = res.BaselineAccuracy
 		out.ExtAcc = res.ExtendedAccuracy
-		if opts.WithAblation && len(out.Faults) == 0 && len(out.DegradedModules) == 0 {
+		if opts.WithAblation && clean {
 			if err := out.precomputeAblation(b, res, opts.SolverWorkers); err != nil {
 				return nil, fmt.Errorf("%s: ablation: %w", b.Project.Name, err)
 			}
@@ -164,7 +185,7 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 	// Cache only clean runs: a faulted or degraded outcome reflects this
 	// run's containment decisions, not the project's content, and must
 	// never be served to a later run.
-	if opts.Cache != nil && len(out.Faults) == 0 && len(out.DegradedModules) == 0 {
+	if opts.Cache != nil && clean {
 		storeOutcome(opts.Cache, outcomeKey(cacheFP, opts, b), out)
 	}
 	return out, nil
@@ -185,6 +206,7 @@ func (out *Outcome) precomputeAblation(b *corpus.Benchmark, res *pipeline.Outcom
 		if err != nil {
 			return err
 		}
+		out.Perf.Add(static.Snapshot(nil, abl))
 		out.ablEdges = abl.Graph.NumEdges()
 		out.ablMono = abl.Metrics().MonomorphicPct
 		out.ablPrec = callgraph.CompareWithDynamic(abl.Graph, res.Dynamic.Graph).Precision
@@ -307,6 +329,27 @@ func RunCorpusOpts(bs []*corpus.Benchmark, opts Options) ([]*Outcome, error) {
 		}
 	}
 	return outs, nil
+}
+
+// OwnedCounters returns the counters that belong to a run's owner rather
+// than to any one evaluation: the parse counts and parse wall time of the
+// projects in bs, whose caches every stage of the run shares, and the
+// counters of store (nil: none). Add them to the outcomes' Perf records to
+// total a run.
+func OwnedCounters(bs []*corpus.Benchmark, store *cache.Store) perf.Snapshot {
+	var s perf.Snapshot
+	var wall time.Duration
+	for _, b := range bs {
+		parses, hits := b.Project.ParseCounts()
+		s.Parses += parses
+		s.ParseCacheHits += hits
+		wall += b.Project.ParseWall()
+	}
+	s.AddPhase(perf.PhaseParse, wall)
+	if store != nil {
+		s.CacheHits, s.CacheMisses, s.CacheBytesWritten = store.Stats()
+	}
+	return s
 }
 
 // Summary aggregates a corpus run the way the paper's §5 summary boxes do.
@@ -436,6 +479,9 @@ type AblationOutcome struct {
 	NameOnlyMonomorphic   float64
 	RelationalPrecision   float64 // vs dynamic CG, when available
 	NameOnlyPrecision     float64
+
+	// Perf records the work this row did beyond the corpus run it reused.
+	Perf perf.Snapshot
 }
 
 // RunAblationReusing evaluates the §4 ablation, reusing the relational
@@ -445,7 +491,8 @@ type AblationOutcome struct {
 // here would repeat the most expensive fixpoint of the ablation; the
 // incremental-equivalence tests assert the two paths agree corpus-wide.
 // When the outcome also carries the name-only row (Options.WithAblation),
-// the whole row is reused. Falls back to RunAblation (both arms from
+// the whole row is reused, and otherwise its hint set, when it kept one,
+// spares the pre-analysis. Falls back to RunAblation (both arms from
 // scratch) when prior is nil, is for a different project, saw contained
 // faults or degraded modules (its extended graph then differs from the
 // clean relational arm), or lacks the dynamic-accuracy comparison the
@@ -471,14 +518,19 @@ func RunAblationReusing(b *corpus.Benchmark, prior *Outcome) (*AblationOutcome, 
 		out.NameOnlyPrecision = prior.ablPrec
 		return out, nil
 	}
-	ar, err := pipeline.PreAnalyze(b.Project, approx.Options{})
-	if err != nil {
-		return nil, err
+	h, degrade := prior.hints, map[string]bool(nil)
+	if h == nil {
+		ar, err := pipeline.PreAnalyze(b.Project, approx.Options{})
+		if err != nil {
+			return nil, err
+		}
+		out.Perf.AddPhase(perf.PhaseApprox, ar.Duration)
+		h, degrade = ar.Hints, ar.FaultedModules()
 	}
 	// Without [DPW] write hints the two ablation arms inject identical
 	// constraints, so the name-only column equals the relational one and
 	// needs no solve of its own.
-	if !static.WriteHintsApply(ar.Hints) {
+	if !static.WriteHintsApply(h) {
 		out.NameOnlyEdges = out.RelationalEdges
 		out.NameOnlyMonomorphic = out.RelationalMonomorphic
 		out.NameOnlyPrecision = out.RelationalPrecision
@@ -486,13 +538,16 @@ func RunAblationReusing(b *corpus.Benchmark, prior *Outcome) (*AblationOutcome, 
 	}
 	var dyn *callgraph.Graph
 	if b.HasDynCG {
-		dr, err := pipeline.DynamicGraph(b.Project, dyncg.Options{})
+		dr, built, err := pipeline.DynamicGraph(b.Project, dyncg.Options{})
 		if err != nil {
 			return nil, err
 		}
+		if built {
+			out.Perf.AddPhase(perf.PhaseDynCG, dr.Duration)
+		}
 		dyn = dr.Graph
 	}
-	if err := nameOnlyRow(out, b, ar, dyn); err != nil {
+	if err := nameOnlyRow(out, b, h, degrade, dyn); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -522,6 +577,7 @@ func runAblation(b *corpus.Benchmark, opts Options) (*AblationOutcome, error) {
 		NameOnlyMonomorphic:   rel.MonomorphicPct,
 		RelationalPrecision:   res.ExtendedAccuracy.Precision,
 		NameOnlyPrecision:     res.ExtendedAccuracy.Precision,
+		Perf:                  res.Perf,
 	}
 	// Only [DPW] write hints distinguish the two arms; without them the
 	// name-only system is the relational one.
@@ -530,23 +586,24 @@ func runAblation(b *corpus.Benchmark, opts Options) (*AblationOutcome, error) {
 		if res.Dynamic != nil {
 			dyn = res.Dynamic.Graph
 		}
-		if err := nameOnlyRow(out, b, res.Approx, dyn); err != nil {
+		if err := nameOnlyRow(out, b, res.Approx.Hints, res.Approx.FaultedModules(), dyn); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// nameOnlyRow solves the name-only arm with ar's hints, degraded like the
-// relational arm, and fills its columns of out; the precision column only
-// when a dynamic graph is given.
-func nameOnlyRow(out *AblationOutcome, b *corpus.Benchmark, ar *approx.Result, dyn *callgraph.Graph) error {
+// nameOnlyRow solves the name-only arm with hints h, degraded like the
+// relational arm, and fills its columns and solver counters of out; the
+// precision column only when a dynamic graph is given.
+func nameOnlyRow(out *AblationOutcome, b *corpus.Benchmark, h *hints.Hints, degrade map[string]bool, dyn *callgraph.Graph) error {
 	abl, err := static.Analyze(b.Project, static.Options{
-		Mode: static.AblationNameOnly, Hints: ar.Hints, DegradeFiles: ar.FaultedModules(),
+		Mode: static.AblationNameOnly, Hints: h, DegradeFiles: degrade,
 	})
 	if err != nil {
 		return err
 	}
+	out.Perf.Add(static.Snapshot(nil, abl))
 	out.NameOnlyEdges = abl.Graph.NumEdges()
 	out.NameOnlyMonomorphic = abl.Metrics().MonomorphicPct
 	if dyn != nil {

@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/approx"
 	"repro/internal/corpus"
+	"repro/internal/hints"
 	"repro/internal/modules"
+	"repro/internal/perf"
 	"repro/internal/pipeline"
 	"repro/internal/static"
 )
@@ -29,49 +31,60 @@ type ExtensionOutcome struct {
 	Packages    int
 	CacheHits   int
 	CacheMisses int
+
+	// Perf records the pre-analysis and variant solves this evaluation
+	// ran beyond the corpus run it reused.
+	Perf perf.Snapshot
 }
 
 // RunExtensions evaluates the §6 extensions on one project. The
 // plain-hints variant is pipeline.Run's extended analysis; prior, when
 // non-nil, is the main corpus run's outcome for the same project, whose
-// extended analysis solved that identical system, so only the
-// pre-analysis reruns (only when the outcome is fault-free — degradation
-// changes the extended graph). Pass nil to solve all four variants.
+// extended analysis solved that identical system. A fault-free prior is
+// reused (degradation changes the extended graph): its plain-variant
+// edges, and its hint set when it kept one, so that then not even the
+// pre-analysis reruns. Pass nil to solve all four variants.
 func RunExtensions(project *modules.Project, cache *approx.Cache, prior *Outcome) (*ExtensionOutcome, error) {
 	return runExtensions(project, cache, prior, Options{})
 }
 
 func runExtensions(project *modules.Project, cache *approx.Cache, prior *Outcome, opts Options) (*ExtensionOutcome, error) {
 	out := &ExtensionOutcome{Name: project.Name}
-	aopts := opts.approxOptions()
-	var ar *approx.Result
-	var err error
+	var h *hints.Hints
+	var degrade map[string]bool
 	if prior != nil && prior.Name == project.Name &&
 		len(prior.Faults) == 0 && len(prior.DegradedModules) == 0 {
-		if ar, err = pipeline.PreAnalyze(project, aopts); err != nil {
-			return nil, err
-		}
 		out.EdgesPlain = prior.Ext.CallEdges
+		if h = prior.hints; h == nil {
+			ar, err := pipeline.PreAnalyze(project, opts.approxOptions())
+			if err != nil {
+				return nil, err
+			}
+			out.Perf.AddPhase(perf.PhaseApprox, ar.Duration)
+			h, degrade = ar.Hints, ar.FaultedModules()
+		}
 	} else {
-		res, err := pipeline.Run(project, pipeline.Config{Approx: aopts})
+		res, err := pipeline.Run(project, pipeline.Config{Approx: opts.approxOptions()})
 		if err != nil {
 			return nil, err
 		}
-		ar = res.Approx
+		out.Perf = res.Perf
+		h, degrade = res.Approx.Hints, res.Approx.FaultedModules()
 		out.EdgesPlain = res.Extended.Graph.NumEdges()
 	}
 
 	analyze := func(unknownArgs, evalCode bool) (int, error) {
 		res, err := static.Analyze(project, static.Options{
 			Mode:            static.WithHints,
-			Hints:           ar.Hints,
-			DegradeFiles:    ar.FaultedModules(),
+			Hints:           h,
+			DegradeFiles:    degrade,
 			UnknownArgHints: unknownArgs,
 			EvalHints:       evalCode,
 		})
 		if err != nil {
 			return 0, err
 		}
+		out.Perf.Add(static.Snapshot(nil, res))
 		return res.Graph.NumEdges(), nil
 	}
 
@@ -79,8 +92,9 @@ func runExtensions(project *modules.Project, cache *approx.Cache, prior *Outcome
 	// system as an already-solved variant; reuse that result instead of
 	// re-running the fixpoint (most projects observe no proxy reads or eval
 	// code, so this skips the bulk of the variant solves).
-	argsApply := static.UnknownArgHintsApply(ar.Hints)
-	evalApply := static.EvalHintsApply(ar.Hints)
+	argsApply := static.UnknownArgHintsApply(h)
+	evalApply := static.EvalHintsApply(h)
+	var err error
 	if !argsApply {
 		out.EdgesUnknownArg = out.EdgesPlain
 	} else if out.EdgesUnknownArg, err = analyze(true, false); err != nil {

@@ -4,43 +4,55 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"repro/internal/corpus"
+	"repro/internal/perf"
 )
 
 // TestRunMegaBench runs a scaled-down mega tier at several worker counts,
 // 0 included. RunMegaBench itself fails on any counter divergence between
-// rows, so this test mostly checks the snapshot's shape: every row, 0
-// included, ran the epoch engine, and the speedup is taken from the
-// workers=1 row.
+// rows, so this test mostly checks the Bench's shape: every row, 0
+// included, ran the epoch engine, and the speedup is derived from the
+// workers=1 and workers=4 rows.
 func TestRunMegaBench(t *testing.T) {
-	snap, err := RunMegaBench(120, []int{0, 1, 2, 4})
+	bench, err := RunMegaBench(120, []int{0, 1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(snap.Rows))
+	if len(bench.Rows) != 4 {
+		t.Fatalf("got %d rows, want 4", len(bench.Rows))
 	}
-	if snap.MegaModules < 80 {
-		t.Fatalf("mega project has %d modules, want a solver-bound project", snap.MegaModules)
+	if n := len(corpus.Mega(120).Project.Files) - 1; n < 80 {
+		t.Fatalf("mega project has %d modules, want a solver-bound project", n)
 	}
-	for _, r := range snap.Rows {
-		if r.Epochs == 0 {
-			t.Fatalf("workers=%d row recorded no epochs — the epoch engine did not run", r.SolverWorkers)
+	for i, w := range []int{0, 1, 2, 4} {
+		r := bench.Rows[i]
+		if r.Label != perf.MegaLabel(w) || r.SolverWorkers != w {
+			t.Fatalf("row %d is %q with %d solver workers, want %q with %d", i, r.Label, r.SolverWorkers, perf.MegaLabel(w), w)
+		}
+		if r.SolverEpochs == 0 {
+			t.Fatalf("workers=%d row recorded no epochs — the epoch engine did not run", w)
+		}
+		if r.SolveIterations == 0 || r.TokensDelivered == 0 {
+			t.Fatalf("workers=%d row recorded no solver effort", w)
 		}
 	}
-	if r1, r4 := snap.Row(1), snap.Row(4); snap.SpeedupAt4 != r1.SolveWallMS/r4.SolveWallMS {
-		t.Fatalf("speedup at 4 is %v, want workers=1 / workers=4 = %v", snap.SpeedupAt4, r1.SolveWallMS/r4.SolveWallMS)
+	r1, r4 := bench.Row(perf.MegaLabel(1)), bench.Row(perf.MegaLabel(4))
+	ratios := bench.Ratios()
+	if ratios.SpeedupAt4 != r1.SolveWallMS/r4.SolveWallMS {
+		t.Fatalf("speedup at 4 is %v, want workers=1 / workers=4 = %v", ratios.SpeedupAt4, r1.SolveWallMS/r4.SolveWallMS)
 	}
-	if snap.ParallelShare <= 0 || snap.ParallelShare >= 1 {
-		t.Fatalf("parallel share %v outside (0, 1)", snap.ParallelShare)
+	if ratios.ParallelShare <= 0 || ratios.ParallelShare >= 1 {
+		t.Fatalf("parallel share %v outside (0, 1)", ratios.ParallelShare)
 	}
 
 	// The render must be a pure function of the deterministic fields plus
-	// wall times; rendering twice from the same snapshot is byte-identical.
+	// wall times; rendering twice from the same Bench is byte-identical.
 	var a, b bytes.Buffer
-	snap.Render(&a)
-	snap.Render(&b)
+	bench.Render(&a)
+	bench.Render(&b)
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("snapshot render is not deterministic")
+		t.Fatal("bench render is not deterministic")
 	}
 }
 

@@ -39,7 +39,7 @@ func strip(o *Outcome) stripped {
 // TestRunCorpusDeterministic asserts that the parallel driver produces
 // outcomes identical to a sequential run: same order, same names, metrics,
 // hint counts, and accuracies. Run under -race this also exercises the
-// shared parse cache and perf counters for data races.
+// shared parse cache for data races.
 func TestRunCorpusDeterministic(t *testing.T) {
 	// Fresh benchmark sets for each run: projects carry their own parse
 	// caches, so reusing one set would let the second run see warm caches

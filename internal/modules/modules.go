@@ -18,7 +18,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/interp"
 	"repro/internal/parser"
-	"repro/internal/perf"
 	"repro/internal/value"
 )
 
@@ -126,14 +125,20 @@ type parseCache struct {
 	store ParseStore
 
 	parses, hits int64
+	parseWall    time.Duration
+}
+
+// cache returns the project's parse cache, creating it on first use.
+func (p *Project) cache() *parseCache {
+	p.parseOnce.Do(func() { p.parseCache = &parseCache{progs: map[string]*ast.Program{}} })
+	return p.parseCache
 }
 
 // SetParseStore attaches a persistent parse store to the project. Parses
 // not found in memory are looked up there before parsing, and fresh parses
 // are written back. Attach before analysis starts; safe to leave nil.
 func (p *Project) SetParseStore(s ParseStore) {
-	p.parseOnce.Do(func() { p.parseCache = &parseCache{progs: map[string]*ast.Program{}} })
-	c := p.parseCache
+	c := p.cache()
 	c.mu.Lock()
 	c.store = s
 	c.mu.Unlock()
@@ -143,8 +148,7 @@ func (p *Project) SetParseStore(s ParseStore) {
 // node: module — parsing each file version at most once per project. It is
 // safe for concurrent use. Paths with no source return ErrNoSource.
 func (p *Project) Parse(path string) (*ast.Program, error) {
-	p.parseOnce.Do(func() { p.parseCache = &parseCache{progs: map[string]*ast.Program{}} })
-	c := p.parseCache
+	c := p.cache()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	src, ok := p.Files[path]
@@ -156,14 +160,12 @@ func (p *Project) Parse(path string) (*ast.Program, error) {
 	key := SourceKey(path, src)
 	if prog, ok := c.progs[key]; ok {
 		c.hits++
-		perf.Global().AddParseHit()
 		return prog, nil
 	}
 	if c.store != nil {
 		if prog, ok := c.store.LoadAST(key); ok {
 			c.progs[key] = prog
 			c.hits++
-			perf.Global().AddParseHit()
 			return prog, nil
 		}
 	}
@@ -173,7 +175,7 @@ func (p *Project) Parse(path string) (*ast.Program, error) {
 		return nil, err
 	}
 	c.parses++
-	perf.Global().AddParse(time.Since(start))
+	c.parseWall += time.Since(start)
 	c.progs[key] = prog
 	if c.store != nil {
 		c.store.StoreAST(key, prog)
@@ -207,8 +209,7 @@ func builtinParseKeys() map[string]bool {
 // content comes back. The caller must ensure p.Files is not concurrently
 // mutated (delta sessions call this under their session lock).
 func (p *Project) PruneParses() {
-	p.parseOnce.Do(func() { p.parseCache = &parseCache{progs: map[string]*ast.Program{}} })
-	c := p.parseCache
+	c := p.cache()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.progs) == 0 {
@@ -229,11 +230,18 @@ func (p *Project) PruneParses() {
 // ParseCounts reports how many parses the project's cache performed and how
 // many repeat requests it served from cache.
 func (p *Project) ParseCounts() (parses, hits int64) {
-	p.parseOnce.Do(func() { p.parseCache = &parseCache{progs: map[string]*ast.Program{}} })
-	c := p.parseCache
+	c := p.cache()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.parses, c.hits
+}
+
+// ParseWall reports the wall time the project's cache spent parsing.
+func (p *Project) ParseWall() time.Duration {
+	c := p.cache()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.parseWall
 }
 
 // SortedPaths returns all file paths in deterministic order.

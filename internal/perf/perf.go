@@ -1,21 +1,18 @@
-// Package perf provides lightweight, concurrency-safe phase timers and
-// counters for the analysis pipeline. The packages doing the work (modules
-// for parsing, static for constraint solving, pipeline for phase times,
-// experiments for per-benchmark totals) record into the process-wide Global
-// counters; cmd/evaluate resets them before a run, snapshots them after,
-// and renders the snapshot as a report or as -benchjson output (the
-// format of BENCH_cycles.json).
-//
-// All methods are safe for concurrent use — the parallel corpus driver has
-// many workers recording at once — and the zero Counters value is ready.
+// Package perf defines the one counter record of the analysis pipeline.
+// A Snapshot holds the solver effort, structure and epoch counters, the
+// parse and persistent-cache counts, the phase wall times and the
+// contained faults of some piece of work. Nothing here is global: the
+// objects doing the work keep their own numbers (static.Result,
+// modules.Project, cache.Store, pipeline.Outcome), each piece of work
+// converts its numbers into a Snapshot once, and the driver that owns the
+// run sums them with Add. A BENCH_*.json file is a Bench: labelled
+// Snapshot rows.
 package perf
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
-	"sync/atomic"
 	"time"
 )
 
@@ -41,241 +38,47 @@ func (p Phase) String() string {
 	return phaseNames[p]
 }
 
-// Counters accumulates pipeline statistics.
-type Counters struct {
-	phaseNS         [numPhases]atomic.Int64
-	phaseAllocBytes [numPhases]atomic.Int64
-
-	projects       atomic.Int64
-	parses         atomic.Int64
-	parseCacheHits atomic.Int64
-
-	solveIterations atomic.Int64
-	tokensDelivered atomic.Int64
-
-	// Incremental-solve split: fixpoint effort spent reaching the baseline
-	// fixpoint vs. effort spent on the resumed [DPR]/[DPW] delta solve
-	// (static.AnalyzeBoth). Their sum is what the combined path actually
-	// paid; a two-pass run would have paid the baseline share twice.
-	solveIterationsBase  atomic.Int64
-	solveIterationsDelta atomic.Int64
-	tokensDeliveredBase  atomic.Int64
-	tokensDeliveredDelta atomic.Int64
-
-	// Robustness: contained failures (recovered panics, deadline/step
-	// aborts, corrupt files) and modules degraded to baseline-only hints.
-	faultsContained atomic.Int64
-	modulesDegraded atomic.Int64
-
-	// Cycle-collapse activity in the subset solver: unification events,
-	// variables absorbed into representatives (including offline copy
-	// substitution, also reported on its own), edges dropped as duplicate
-	// or self under condensation, and deliveries short-circuited because
-	// the representative had already processed the token; plus the
-	// variables and edges the SCC sweeps traversed to find the cycles.
-	cyclesCollapsed   atomic.Int64
-	varsUnified       atomic.Int64
-	copiesSubstituted atomic.Int64
-	edgesDeduped      atomic.Int64
-	redundantSkipped  atomic.Int64
-	sweepVisited      atomic.Int64
-
-	// Epoch-engine activity (zero when no unifying solve ran):
-	// epochs crossed, chunks stolen across workers, deliveries whose target
-	// landed in a different shard than the source, concurrent Tarjan sweeps
-	// launched, and the wall time split between the pipeline phases — the
-	// scan+winnow (the winnow inserts the winners), the shard-owned
-	// parallel apply pass, and the serial reconciliation tail — plus the
-	// sweep compute time hidden behind the parallel phases.
-	solverEpochs         atomic.Int64
-	solverSteals         atomic.Int64
-	solverCrossShard     atomic.Int64
-	solverAsyncSweeps    atomic.Int64
-	solverScanNS         atomic.Int64
-	solverApplyNS        atomic.Int64
-	solverTailNS         atomic.Int64
-	solverSweepOverlapNS atomic.Int64
-
-	// Persistent-cache activity (zero when no cache store is attached):
-	// artifact loads served from disk, loads that missed (including
-	// corrupt/stale entries, which are misses by design), bytes written to
-	// the store, and modules that went through full re-analysis because
-	// their project's content fingerprint was not cached (on a warm
-	// one-file-edit run this is just the dirty project's module count).
-	cacheHits         atomic.Int64
-	cacheMisses       atomic.Int64
-	cacheBytesWritten atomic.Int64
-	deltaModulesRean  atomic.Int64
-}
-
-var global Counters
-
-// Global returns the process-wide counters.
-func Global() *Counters { return &global }
-
-// AddPhase accrues wall time to a phase.
-func (c *Counters) AddPhase(p Phase, d time.Duration) {
-	if p >= 0 && p < numPhases {
-		c.phaseNS[p].Add(int64(d))
-	}
-}
-
-// AddProject counts one evaluated project.
-func (c *Counters) AddProject() { c.projects.Add(1) }
-
-// AddParse counts one actual parse and accrues its wall time.
-func (c *Counters) AddParse(d time.Duration) {
-	c.parses.Add(1)
-	c.phaseNS[PhaseParse].Add(int64(d))
-}
-
-// AddParseHit counts one parse-cache hit (a parse avoided).
-func (c *Counters) AddParseHit() { c.parseCacheHits.Add(1) }
-
-// AddSolve accrues one constraint-solver run: fixpoint iterations (queue
-// pops) and tokens delivered (propagation attempts on the hot path).
-func (c *Counters) AddSolve(iterations, tokens int64) {
-	c.solveIterations.Add(iterations)
-	c.tokensDelivered.Add(tokens)
-}
-
-// AddIncrementalSolve accrues one incremental baseline+extended run,
-// split into the baseline-phase effort and the resumed-delta effort.
-func (c *Counters) AddIncrementalSolve(baseIters, baseTokens, deltaIters, deltaTokens int64) {
-	c.solveIterationsBase.Add(baseIters)
-	c.tokensDeliveredBase.Add(baseTokens)
-	c.solveIterationsDelta.Add(deltaIters)
-	c.tokensDeliveredDelta.Add(deltaTokens)
-}
-
-// AddSolveStructure accrues one solver's cycle-collapse activity: collapse
-// events, variables unified (and, of those, variables removed by offline
-// copy substitution), edges deduplicated, redundant deliveries skipped, and
-// variables plus edges traversed by SCC sweeps.
-func (c *Counters) AddSolveStructure(cycles, unified, substituted, deduped, skipped, swept int64) {
-	c.cyclesCollapsed.Add(cycles)
-	c.varsUnified.Add(unified)
-	c.copiesSubstituted.Add(substituted)
-	c.edgesDeduped.Add(deduped)
-	c.redundantSkipped.Add(skipped)
-	c.sweepVisited.Add(swept)
-}
-
-// AddSolverParallel accrues one parallel-solver run: epochs crossed,
-// chunks stolen, cross-shard deliveries, concurrent sweeps launched, and
-// the scan/apply/tail/sweep-overlap wall-time split.
-func (c *Counters) AddSolverParallel(epochs, steals, crossShard, asyncSweeps, scanNS, applyNS, tailNS, sweepOverlapNS int64) {
-	c.solverEpochs.Add(epochs)
-	c.solverSteals.Add(steals)
-	c.solverCrossShard.Add(crossShard)
-	c.solverAsyncSweeps.Add(asyncSweeps)
-	c.solverScanNS.Add(scanNS)
-	c.solverApplyNS.Add(applyNS)
-	c.solverTailNS.Add(tailNS)
-	c.solverSweepOverlapNS.Add(sweepOverlapNS)
-}
-
-// AddCacheHit counts one artifact load served by the persistent store.
-func (c *Counters) AddCacheHit() { c.cacheHits.Add(1) }
-
-// AddCacheMiss counts one artifact load the persistent store could not
-// serve (absent, corrupt, truncated, or stale-version entries all count
-// here — they are equivalent to the analysis).
-func (c *Counters) AddCacheMiss() { c.cacheMisses.Add(1) }
-
-// AddCacheBytes accrues bytes written to the persistent store.
-func (c *Counters) AddCacheBytes(n int64) { c.cacheBytesWritten.Add(n) }
-
-// AddDeltaModules counts modules re-analyzed because their project's
-// content fingerprint missed the cache.
-func (c *Counters) AddDeltaModules(n int) { c.deltaModulesRean.Add(int64(n)) }
-
-// AddFaults counts contained failures and the modules degraded for them.
-func (c *Counters) AddFaults(faults, degraded int) {
-	c.faultsContained.Add(int64(faults))
-	c.modulesDegraded.Add(int64(degraded))
-}
-
-// AddPhaseAlloc accrues heap-allocation bytes to a phase.
-func (c *Counters) AddPhaseAlloc(p Phase, bytes int64) {
-	if p >= 0 && p < numPhases {
-		c.phaseAllocBytes[p].Add(bytes)
-	}
-}
-
-// TotalAllocBytes reads the process-wide cumulative heap allocation
-// (runtime.MemStats.TotalAlloc). Deltas of this value around a phase give
-// that phase's allocation: exact with one worker, approximate (other
-// goroutines' allocations bleed in) when phases overlap.
-func TotalAllocBytes() int64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return int64(ms.TotalAlloc)
-}
-
-// Reset zeroes all counters.
-func (c *Counters) Reset() {
-	for i := range c.phaseNS {
-		c.phaseNS[i].Store(0)
-		c.phaseAllocBytes[i].Store(0)
-	}
-	c.projects.Store(0)
-	c.parses.Store(0)
-	c.parseCacheHits.Store(0)
-	c.solveIterations.Store(0)
-	c.tokensDelivered.Store(0)
-	c.solveIterationsBase.Store(0)
-	c.solveIterationsDelta.Store(0)
-	c.tokensDeliveredBase.Store(0)
-	c.tokensDeliveredDelta.Store(0)
-	c.faultsContained.Store(0)
-	c.modulesDegraded.Store(0)
-	c.cyclesCollapsed.Store(0)
-	c.varsUnified.Store(0)
-	c.copiesSubstituted.Store(0)
-	c.edgesDeduped.Store(0)
-	c.redundantSkipped.Store(0)
-	c.sweepVisited.Store(0)
-	c.solverEpochs.Store(0)
-	c.solverSteals.Store(0)
-	c.solverCrossShard.Store(0)
-	c.solverAsyncSweeps.Store(0)
-	c.solverScanNS.Store(0)
-	c.solverApplyNS.Store(0)
-	c.solverTailNS.Store(0)
-	c.solverSweepOverlapNS.Store(0)
-	c.cacheHits.Store(0)
-	c.cacheMisses.Store(0)
-	c.cacheBytesWritten.Store(0)
-	c.deltaModulesRean.Store(0)
-}
-
-// Snapshot is a point-in-time copy of the counters, serializable as
-// -benchjson output (BENCH_cycles.json). Workers and WallMS describe the run as a whole and
-// are filled in by the driver.
+// Snapshot is the counter record of one piece of work — an analysis, an
+// evaluated benchmark, a whole corpus run — and one row of a BENCH file.
+// Label, Workers and SolverWorkers describe the run; everything else is a
+// count or a time that Add sums.
 type Snapshot struct {
-	Workers int     `json:"workers,omitempty"`
-	WallMS  float64 `json:"wall_ms,omitempty"`
+	Label         string  `json:"label,omitempty"`
+	Workers       int     `json:"workers,omitempty"`
+	SolverWorkers int     `json:"solver_workers,omitempty"`
+	WallMS        float64 `json:"wall_ms,omitempty"`
+	// SolveWallMS is the wall time spent inside solver fixpoint
+	// propagation (static.Result.SolveWall).
+	SolveWallMS float64 `json:"solve_wall_ms,omitempty"`
 
-	Projects       int64   `json:"projects"`
-	Parses         int64   `json:"parses"`
-	ParseCacheHits int64   `json:"parse_cache_hits"`
-	ParseHitRate   float64 `json:"parse_cache_hit_rate"`
+	Projects       int64 `json:"projects"`
+	Parses         int64 `json:"parses"`
+	ParseCacheHits int64 `json:"parse_cache_hits,omitempty"`
+	// ParseHitRate is derived from Parses and ParseCacheHits; Add keeps
+	// it current.
+	ParseHitRate float64 `json:"parse_cache_hit_rate,omitempty"`
 
 	SolveIterations int64 `json:"solve_iterations"`
 	TokensDelivered int64 `json:"tokens_delivered"`
 
-	// Incremental split (zero when the two-pass path ran).
+	// Incremental split of AnalyzeBoth's effort: reaching the baseline
+	// fixpoint vs. the resumed [DPR]/[DPW] delta solve. Their sum is part
+	// of SolveIterations/TokensDelivered.
 	SolveIterationsBase  int64 `json:"solve_iterations_baseline,omitempty"`
 	SolveIterationsDelta int64 `json:"solve_iterations_delta,omitempty"`
 	TokensDeliveredBase  int64 `json:"tokens_delivered_baseline,omitempty"`
 	TokensDeliveredDelta int64 `json:"tokens_delivered_delta,omitempty"`
 
-	// Robustness (zero on a healthy run).
+	// Robustness: contained failures (recovered panics, deadline/step
+	// aborts, corrupt files) and modules degraded to baseline-only hints.
 	FaultsContained int64 `json:"faults_contained,omitempty"`
 	ModulesDegraded int64 `json:"modules_degraded,omitempty"`
 
-	// Cycle-collapse activity (zero when unification is disabled).
+	// Cycle-collapse activity of the subset solver: unification events,
+	// variables absorbed into representatives (including offline copy
+	// substitution, also reported on its own), edges dropped as duplicate
+	// or self under condensation, and deliveries short-circuited because
+	// the representative had already processed the token.
 	CyclesCollapsed   int64 `json:"cycles_collapsed,omitempty"`
 	VarsUnified       int64 `json:"vars_unified,omitempty"`
 	CopiesSubstituted int64 `json:"copies_substituted,omitempty"`
@@ -299,80 +102,92 @@ type Snapshot struct {
 	SolverTailMS         float64 `json:"solver_serial_tail_ms,omitempty"`
 	SolverSweepOverlapMS float64 `json:"solver_sweep_overlap_ms,omitempty"`
 
-	// Persistent-cache activity (zero when no cache store is attached).
+	// Persistent-cache activity (zero when no cache store is attached):
+	// artifact loads served, loads missed (corrupt and stale entries
+	// included), bytes written, and modules re-analyzed because their
+	// project's outcome was not cached.
 	CacheHits         int64 `json:"cache_hits,omitempty"`
 	CacheMisses       int64 `json:"cache_misses,omitempty"`
 	CacheBytesWritten int64 `json:"cache_bytes_written,omitempty"`
 	DeltaModulesRean  int64 `json:"delta_modules_reanalyzed,omitempty"`
 
-	PhaseMS         map[string]float64 `json:"phase_ms"`
-	PhaseAllocBytes map[string]int64   `json:"phase_alloc_bytes,omitempty"`
+	// PhaseMS is the wall time per Phase, keyed by its name.
+	PhaseMS map[string]float64 `json:"phase_ms,omitempty"`
 }
 
-// Snapshot copies the current counter values.
-func (c *Counters) Snapshot() Snapshot {
-	s := Snapshot{
-		Projects:             c.projects.Load(),
-		Parses:               c.parses.Load(),
-		ParseCacheHits:       c.parseCacheHits.Load(),
-		SolveIterations:      c.solveIterations.Load(),
-		TokensDelivered:      c.tokensDelivered.Load(),
-		SolveIterationsBase:  c.solveIterationsBase.Load(),
-		SolveIterationsDelta: c.solveIterationsDelta.Load(),
-		TokensDeliveredBase:  c.tokensDeliveredBase.Load(),
-		TokensDeliveredDelta: c.tokensDeliveredDelta.Load(),
-		FaultsContained:      c.faultsContained.Load(),
-		ModulesDegraded:      c.modulesDegraded.Load(),
-		CyclesCollapsed:      c.cyclesCollapsed.Load(),
-		VarsUnified:          c.varsUnified.Load(),
-		CopiesSubstituted:    c.copiesSubstituted.Load(),
-		EdgesDeduped:         c.edgesDeduped.Load(),
-		RedundantSkipped:     c.redundantSkipped.Load(),
-		SweepVisited:         c.sweepVisited.Load(),
-		SolverEpochs:         c.solverEpochs.Load(),
-		SolverSteals:         c.solverSteals.Load(),
-		SolverCrossShard:     c.solverCrossShard.Load(),
-		SolverAsyncSweeps:    c.solverAsyncSweeps.Load(),
-		SolverScanMS:         float64(c.solverScanNS.Load()) / 1e6,
-		SolverApplyMS:        float64(c.solverApplyNS.Load()) / 1e6,
-		SolverTailMS:         float64(c.solverTailNS.Load()) / 1e6,
-		SolverSweepOverlapMS: float64(c.solverSweepOverlapNS.Load()) / 1e6,
-		CacheHits:            c.cacheHits.Load(),
-		CacheMisses:          c.cacheMisses.Load(),
-		CacheBytesWritten:    c.cacheBytesWritten.Load(),
-		DeltaModulesRean:     c.deltaModulesRean.Load(),
-		PhaseMS:              map[string]float64{},
+// ms converts a duration to fractional milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / 1e6 }
+
+// AddPhase accrues wall time to a phase.
+func (s *Snapshot) AddPhase(p Phase, d time.Duration) {
+	if s.PhaseMS == nil {
+		s.PhaseMS = map[string]float64{}
 	}
+	s.PhaseMS[p.String()] += ms(d)
+}
+
+// Add sums o's counts and times into s. The run description (Label,
+// Workers, SolverWorkers) is left alone.
+func (s *Snapshot) Add(o Snapshot) {
+	s.WallMS += o.WallMS
+	s.SolveWallMS += o.SolveWallMS
+	s.Projects += o.Projects
+	s.Parses += o.Parses
+	s.ParseCacheHits += o.ParseCacheHits
+	s.SolveIterations += o.SolveIterations
+	s.TokensDelivered += o.TokensDelivered
+	s.SolveIterationsBase += o.SolveIterationsBase
+	s.SolveIterationsDelta += o.SolveIterationsDelta
+	s.TokensDeliveredBase += o.TokensDeliveredBase
+	s.TokensDeliveredDelta += o.TokensDeliveredDelta
+	s.FaultsContained += o.FaultsContained
+	s.ModulesDegraded += o.ModulesDegraded
+	s.CyclesCollapsed += o.CyclesCollapsed
+	s.VarsUnified += o.VarsUnified
+	s.CopiesSubstituted += o.CopiesSubstituted
+	s.EdgesDeduped += o.EdgesDeduped
+	s.RedundantSkipped += o.RedundantSkipped
+	s.SweepVisited += o.SweepVisited
+	s.SolverEpochs += o.SolverEpochs
+	s.SolverSteals += o.SolverSteals
+	s.SolverCrossShard += o.SolverCrossShard
+	s.SolverAsyncSweeps += o.SolverAsyncSweeps
+	s.SolverScanMS += o.SolverScanMS
+	s.SolverApplyMS += o.SolverApplyMS
+	s.SolverTailMS += o.SolverTailMS
+	s.SolverSweepOverlapMS += o.SolverSweepOverlapMS
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.CacheBytesWritten += o.CacheBytesWritten
+	s.DeltaModulesRean += o.DeltaModulesRean
+	for k, v := range o.PhaseMS {
+		if s.PhaseMS == nil {
+			s.PhaseMS = map[string]float64{}
+		}
+		s.PhaseMS[k] += v
+	}
+	s.ParseHitRate = 0
 	if total := s.Parses + s.ParseCacheHits; total > 0 {
 		s.ParseHitRate = float64(s.ParseCacheHits) / float64(total)
 	}
-	for p := Phase(0); p < numPhases; p++ {
-		s.PhaseMS[p.String()] = float64(c.phaseNS[p].Load()) / 1e6
-	}
-	var allocTotal int64
-	for p := Phase(0); p < numPhases; p++ {
-		allocTotal += c.phaseAllocBytes[p].Load()
-	}
-	if allocTotal > 0 {
-		s.PhaseAllocBytes = map[string]int64{}
-		for p := Phase(0); p < numPhases; p++ {
-			s.PhaseAllocBytes[p.String()] = c.phaseAllocBytes[p].Load()
-		}
-	}
-	return s
 }
 
-// WriteJSON writes the snapshot as indented JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+// Deterministic returns the counters the epoch engine reproduces exactly
+// at every solver-worker count: effort, structure, epochs, cross-shard
+// deliveries and async sweep launches. Two rows of one solve that differ
+// here mean scheduling leaked into the result.
+func (s Snapshot) Deterministic() [8]int64 {
+	return [8]int64{s.SolveIterations, s.TokensDelivered, s.CyclesCollapsed,
+		s.RedundantSkipped, s.SweepVisited, s.SolverEpochs, s.SolverCrossShard, s.SolverAsyncSweeps}
 }
 
 // Render writes a human-readable report.
 func (s Snapshot) Render(w io.Writer) {
 	if s.Workers > 0 {
 		fmt.Fprintf(w, "workers:            %d\n", s.Workers)
+	}
+	if s.SolverWorkers > 0 {
+		fmt.Fprintf(w, "solver workers:     %d\n", s.SolverWorkers)
 	}
 	if s.WallMS > 0 {
 		fmt.Fprintf(w, "wall time:          %.1f ms\n", s.WallMS)
@@ -382,6 +197,9 @@ func (s Snapshot) Render(w io.Writer) {
 		s.Parses, s.ParseCacheHits, 100*s.ParseHitRate)
 	fmt.Fprintf(w, "solve iterations:   %d\n", s.SolveIterations)
 	fmt.Fprintf(w, "tokens delivered:   %d\n", s.TokensDelivered)
+	if s.SolveWallMS > 0 {
+		fmt.Fprintf(w, "solve wall:         %.1f ms\n", s.SolveWallMS)
+	}
 	if s.SolveIterationsBase+s.SolveIterationsDelta > 0 {
 		fmt.Fprintf(w, "  incremental:      baseline %d iters / %d tokens, resumed delta %d iters / %d tokens\n",
 			s.SolveIterationsBase, s.TokensDeliveredBase, s.SolveIterationsDelta, s.TokensDeliveredDelta)
@@ -404,14 +222,120 @@ func (s Snapshot) Render(w io.Writer) {
 	}
 	if s.CacheHits+s.CacheMisses > 0 {
 		rate := 100 * float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses)
-		fmt.Fprintf(w, "artifact cache:     %d hits / %d misses (%.1f%%), %.1f KB written, %d modules re-analyzed\n",
+		// One space after the colon: CI greps this line for a fully
+		// cached warm run.
+		fmt.Fprintf(w, "artifact cache: %d hits / %d misses (%.1f%%), %.1f KB written, %d modules re-analyzed\n",
 			s.CacheHits, s.CacheMisses, rate, float64(s.CacheBytesWritten)/1024, s.DeltaModulesRean)
 	}
-	for p := Phase(0); p < numPhases; p++ {
-		fmt.Fprintf(w, "%-9s phase:     %.1f ms", p.String(), s.PhaseMS[p.String()])
-		if b, ok := s.PhaseAllocBytes[p.String()]; ok {
-			fmt.Fprintf(w, "  (%.1f MB alloc)", float64(b)/(1<<20))
+	if s.PhaseMS != nil {
+		for p := Phase(0); p < numPhases; p++ {
+			fmt.Fprintf(w, "%-9s phase:     %.1f ms\n", p.String(), s.PhaseMS[p.String()])
 		}
-		fmt.Fprintln(w)
+	}
+}
+
+// Bench is the content of a BENCH_*.json file: the measuring host's
+// GOMAXPROCS plus one labelled Snapshot per measured run.
+//
+//	corpus  one row, "corpus" (cmd/evaluate -all -benchjson)
+//	mega    one row per solver-worker count, "workers=N" (RunMegaBench)
+//	delta   "cold", "warm", "edit-warm", "edit-scratch" (RunDeltaBench)
+type Bench struct {
+	MaxProcs int `json:"max_procs"`
+	// ReportsIdentical is the delta benchmark's in-harness assertion:
+	// the warm run rendered byte-identical reports to the cold run, and
+	// the edit-warm run to a from-scratch run of the edited corpus.
+	// RunDeltaBench fails before producing a Bench when either differs.
+	ReportsIdentical bool       `json:"reports_identical,omitempty"`
+	Rows             []Snapshot `json:"rows"`
+}
+
+// MegaLabel is the row label of the mega-tier run at a solver-worker
+// count.
+func MegaLabel(workers int) string { return fmt.Sprintf("workers=%d", workers) }
+
+// Row returns the row with the given label, or nil.
+func (b Bench) Row(label string) *Snapshot {
+	for i := range b.Rows {
+		if b.Rows[i].Label == label {
+			return &b.Rows[i]
+		}
+	}
+	return nil
+}
+
+// Ratios are the figures derived from a Bench's wall times. Each is zero
+// when the rows it needs are missing or have no wall time.
+type Ratios struct {
+	// SpeedupAt4 is the workers=1 solve wall over the workers=4 one.
+	SpeedupAt4 float64
+	// ParallelShare is the fraction of the workers=1 solve wall spent in
+	// the parallelizable scan+winnow and apply phases; SerialShare the
+	// fraction spent outside them.
+	ParallelShare float64
+	SerialShare   float64
+	// BarrierScale is the workers=4 apply+tail wall as a fraction of the
+	// workers=1 one.
+	BarrierScale float64
+	// WarmSpeedup is the cold wall over the warm wall (unchanged corpus);
+	// EditSpeedup the cold wall over the edit-warm wall.
+	WarmSpeedup float64
+	EditSpeedup float64
+}
+
+// Ratios computes the derived figures from the rows.
+func (b Bench) Ratios() Ratios {
+	var r Ratios
+	r1, r4 := b.Row(MegaLabel(1)), b.Row(MegaLabel(4))
+	if r1 != nil && r1.SolveWallMS > 0 {
+		r.ParallelShare = (r1.SolverScanMS + r1.SolverApplyMS) / r1.SolveWallMS
+		r.SerialShare = (r1.SolveWallMS - r1.SolverScanMS - r1.SolverApplyMS) / r1.SolveWallMS
+		if r4 != nil && r4.SolveWallMS > 0 {
+			r.SpeedupAt4 = r1.SolveWallMS / r4.SolveWallMS
+		}
+	}
+	if r1 != nil && r4 != nil && r1.SolverApplyMS+r1.SolverTailMS > 0 {
+		r.BarrierScale = (r4.SolverApplyMS + r4.SolverTailMS) / (r1.SolverApplyMS + r1.SolverTailMS)
+	}
+	if cold := b.Row("cold"); cold != nil {
+		if warm := b.Row("warm"); warm != nil && warm.WallMS > 0 {
+			r.WarmSpeedup = cold.WallMS / warm.WallMS
+		}
+		if edit := b.Row("edit-warm"); edit != nil && edit.WallMS > 0 {
+			r.EditSpeedup = cold.WallMS / edit.WallMS
+		}
+	}
+	return r
+}
+
+// WriteJSON writes the Bench as indented JSON.
+func (b Bench) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(b)
+}
+
+// Render writes every row and the derived figures.
+func (b Bench) Render(w io.Writer) {
+	fmt.Fprintf(w, "GOMAXPROCS:         %d\n", b.MaxProcs)
+	for _, row := range b.Rows {
+		fmt.Fprintf(w, "-- %s\n", row.Label)
+		row.Render(w)
+	}
+	r := b.Ratios()
+	if r.SpeedupAt4 > 0 {
+		fmt.Fprintf(w, "speedup at 4:       %.2fx\n", r.SpeedupAt4)
+	}
+	if r.ParallelShare > 0 {
+		fmt.Fprintf(w, "parallel share:     %.1f%% of solve wall in the scan+apply phases\n", 100*r.ParallelShare)
+	}
+	if r.WarmSpeedup > 0 {
+		fmt.Fprintf(w, "warm speedup:       %.1fx (unchanged corpus vs cold)\n", r.WarmSpeedup)
+	}
+	if r.EditSpeedup > 0 {
+		fmt.Fprintf(w, "edit speedup:       %.1fx (one-file edit, warm cache, vs cold from-scratch)\n", r.EditSpeedup)
+	}
+	if b.ReportsIdentical {
+		fmt.Fprintln(w, "reports identical:  true")
 	}
 }

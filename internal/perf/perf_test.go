@@ -4,126 +4,60 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
-func TestCountersBasic(t *testing.T) {
-	var c Counters
-	c.AddProject()
-	c.AddParse(2 * time.Millisecond)
-	c.AddParseHit()
-	c.AddParseHit()
-	c.AddParseHit()
-	c.AddSolve(10, 25)
-	c.AddPhase(PhaseApprox, 5*time.Millisecond)
+// TestSnapshotAdd: Add sums every count and phase time, keeps the parse
+// hit rate current, and leaves the run description alone.
+func TestSnapshotAdd(t *testing.T) {
+	a := Snapshot{Projects: 1, Parses: 1, SolveIterations: 10, TokensDelivered: 25,
+		SolveIterationsBase: 7, TokensDeliveredBase: 20, SolverEpochs: 3, SolverScanMS: 1.5}
+	a.AddPhase(PhaseApprox, 5*time.Millisecond)
+	b := Snapshot{Projects: 1, ParseCacheHits: 3, SolveIterations: 1, TokensDelivered: 2,
+		SolveIterationsDelta: 4, TokensDeliveredDelta: 5, CacheHits: 2, CacheMisses: 1, DeltaModulesRean: 9}
+	b.AddPhase(PhaseApprox, time.Millisecond)
+	b.AddPhase(PhaseParse, 2*time.Millisecond)
 
-	s := c.Snapshot()
-	if s.Projects != 1 || s.Parses != 1 || s.ParseCacheHits != 3 {
-		t.Errorf("counts wrong: %+v", s)
+	s := Snapshot{Label: "corpus", Workers: 4}
+	s.Add(a)
+	s.Add(b)
+	if s.Label != "corpus" || s.Workers != 4 {
+		t.Errorf("Add changed the run description: %q/%d", s.Label, s.Workers)
 	}
-	if s.ParseHitRate != 0.75 {
-		t.Errorf("hit rate = %v, want 0.75", s.ParseHitRate)
+	if s.Projects != 2 || s.Parses != 1 || s.ParseCacheHits != 3 || s.ParseHitRate != 0.75 {
+		t.Errorf("parse counts wrong: %+v", s)
 	}
-	if s.SolveIterations != 10 || s.TokensDelivered != 25 {
-		t.Errorf("solve counters wrong: %+v", s)
+	if s.SolveIterations != 11 || s.TokensDelivered != 27 ||
+		s.SolveIterationsBase != 7 || s.TokensDeliveredBase != 20 ||
+		s.SolveIterationsDelta != 4 || s.TokensDeliveredDelta != 5 {
+		t.Errorf("solver counts wrong: %+v", s)
 	}
-	if s.PhaseMS["approx"] != 5 || s.PhaseMS["parse"] != 2 {
+	if s.SolverEpochs != 3 || s.SolverScanMS != 1.5 || s.CacheHits != 2 || s.CacheMisses != 1 || s.DeltaModulesRean != 9 {
+		t.Errorf("epoch/cache counts wrong: %+v", s)
+	}
+	if s.PhaseMS["approx"] != 6 || s.PhaseMS["parse"] != 2 {
 		t.Errorf("phase times wrong: %v", s.PhaseMS)
 	}
-
-	c.Reset()
-	if s := c.Snapshot(); s.Projects != 0 || s.Parses != 0 || s.PhaseMS["approx"] != 0 {
-		t.Errorf("reset did not zero: %+v", s)
-	}
-}
-
-func TestIncrementalAndAllocCounters(t *testing.T) {
-	var c Counters
-	c.AddIncrementalSolve(100, 200, 10, 20)
-	c.AddIncrementalSolve(1, 2, 3, 4)
-	c.AddPhaseAlloc(PhaseBaseline, 1<<20)
-	c.AddPhaseAlloc(PhaseBaseline, 1<<20)
-	c.AddPhaseAlloc(PhaseExtended, 512)
-	c.AddPhaseAlloc(Phase(-1), 999) // out of range: ignored
-
-	s := c.Snapshot()
-	if s.SolveIterationsBase != 101 || s.TokensDeliveredBase != 202 ||
-		s.SolveIterationsDelta != 13 || s.TokensDeliveredDelta != 24 {
-		t.Errorf("incremental split wrong: %+v", s)
-	}
-	if s.PhaseAllocBytes["baseline"] != 2<<20 || s.PhaseAllocBytes["extended"] != 512 {
-		t.Errorf("phase allocs wrong: %v", s.PhaseAllocBytes)
-	}
-
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"solve_iterations_baseline", "solve_iterations_delta", "phase_alloc_bytes"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("JSON missing %q:\n%s", want, buf.String())
-		}
-	}
-	var out strings.Builder
-	s.Render(&out)
-	if !strings.Contains(out.String(), "resumed delta") || !strings.Contains(out.String(), "MB alloc") {
-		t.Errorf("render missing incremental/alloc lines:\n%s", out.String())
-	}
-
-	c.Reset()
-	if s := c.Snapshot(); s.SolveIterationsBase != 0 || s.PhaseAllocBytes != nil {
-		t.Errorf("reset did not zero incremental/alloc counters: %+v", s)
-	}
-}
-
-func TestTotalAllocBytesMonotone(t *testing.T) {
-	a := TotalAllocBytes()
-	sink := make([]byte, 1<<20)
-	_ = sink
-	if b := TotalAllocBytes(); b < a {
-		t.Errorf("TotalAllocBytes went backwards: %d then %d", a, b)
-	}
-}
-
-func TestCountersConcurrent(t *testing.T) {
-	var c Counters
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.AddParse(time.Microsecond)
-				c.AddParseHit()
-				c.AddSolve(1, 2)
-			}
-		}()
-	}
-	wg.Wait()
-	s := c.Snapshot()
-	if s.Parses != 8000 || s.ParseCacheHits != 8000 || s.SolveIterations != 8000 || s.TokensDelivered != 16000 {
-		t.Errorf("concurrent totals wrong: %+v", s)
+	if a.PhaseMS["approx"] != 5 {
+		t.Errorf("Add wrote through to its argument's phase map: %v", a.PhaseMS)
 	}
 }
 
 func TestSnapshotJSONAndRender(t *testing.T) {
-	var c Counters
-	c.AddParse(time.Millisecond)
-	s := c.Snapshot()
-	s.Workers = 4
-	s.WallMS = 12.5
+	s := Snapshot{Label: "corpus", Workers: 4, WallMS: 12.5, Parses: 1}
+	s.AddPhase(PhaseParse, time.Millisecond)
 
 	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
+	if err := (Bench{MaxProcs: 2, Rows: []Snapshot{s}}).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var back Snapshot
+	var back Bench
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Workers != 4 || back.Parses != 1 || back.WallMS != 12.5 {
+	row := back.Row("corpus")
+	if back.MaxProcs != 2 || row == nil || row.Workers != 4 || row.Parses != 1 || row.WallMS != 12.5 {
 		t.Errorf("round trip wrong: %+v", back)
 	}
 
@@ -137,10 +71,9 @@ func TestSnapshotJSONAndRender(t *testing.T) {
 }
 
 func TestFaultCounters(t *testing.T) {
-	var c Counters
-	c.AddFaults(3, 2)
-	c.AddFaults(1, 0)
-	s := c.Snapshot()
+	var s Snapshot
+	s.Add(Snapshot{FaultsContained: 3, ModulesDegraded: 2})
+	s.Add(Snapshot{FaultsContained: 1})
 	if s.FaultsContained != 4 || s.ModulesDegraded != 2 {
 		t.Errorf("fault counters = %d/%d, want 4/2", s.FaultsContained, s.ModulesDegraded)
 	}
@@ -149,28 +82,23 @@ func TestFaultCounters(t *testing.T) {
 	if !strings.Contains(out.String(), "faults contained:   4") {
 		t.Errorf("Render lacks the fault line:\n%s", out.String())
 	}
-	c.Reset()
-	if s := c.Snapshot(); s.FaultsContained != 0 || s.ModulesDegraded != 0 {
-		t.Errorf("reset did not zero fault counters: %+v", s)
-	}
 	// A fault-free snapshot omits the line entirely.
 	out.Reset()
-	c.Snapshot().Render(&out)
+	Snapshot{}.Render(&out)
 	if strings.Contains(out.String(), "faults contained") {
 		t.Errorf("fault-free Render still prints the fault line:\n%s", out.String())
 	}
 }
 
 func TestSweepVisitedCounter(t *testing.T) {
-	var c Counters
-	c.AddSolveStructure(1, 2, 0, 3, 4, 500)
-	c.AddSolveStructure(0, 0, 0, 0, 0, 25)
-	s := c.Snapshot()
+	var s Snapshot
+	s.Add(Snapshot{CyclesCollapsed: 1, VarsUnified: 2, EdgesDeduped: 3, RedundantSkipped: 4, SweepVisited: 500})
+	s.Add(Snapshot{SweepVisited: 25})
 	if s.SweepVisited != 525 {
 		t.Fatalf("SweepVisited = %d, want 525", s.SweepVisited)
 	}
 	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
+	if err := (Bench{Rows: []Snapshot{s}}).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"sweep_visited": 525`) {
@@ -181,8 +109,45 @@ func TestSweepVisitedCounter(t *testing.T) {
 	if !strings.Contains(out.String(), "cycle sweeps:       525 vars+edges visited") {
 		t.Errorf("render lacks the sweep line:\n%s", out.String())
 	}
-	c.Reset()
-	if got := c.Snapshot().SweepVisited; got != 0 {
-		t.Errorf("Reset left SweepVisited = %d", got)
+}
+
+// TestBenchRatios: the derived figures come from the labelled rows, and
+// read zero when a row they need is missing.
+func TestBenchRatios(t *testing.T) {
+	mega := Bench{Rows: []Snapshot{
+		{Label: MegaLabel(1), SolveWallMS: 100, SolverScanMS: 50, SolverApplyMS: 20, SolverTailMS: 20},
+		{Label: MegaLabel(4), SolveWallMS: 40, SolverApplyMS: 5, SolverTailMS: 15},
+	}}
+	r := mega.Ratios()
+	if r.SpeedupAt4 != 2.5 || r.ParallelShare != 0.7 || r.SerialShare != 0.3 || r.BarrierScale != 0.5 {
+		t.Errorf("mega ratios wrong: %+v", r)
+	}
+	if r := (Bench{Rows: mega.Rows[:1]}).Ratios(); r.SpeedupAt4 != 0 || r.BarrierScale != 0 || r.ParallelShare != 0.7 {
+		t.Errorf("ratios without a workers=4 row: %+v", r)
+	}
+
+	delta := Bench{Rows: []Snapshot{
+		{Label: "cold", WallMS: 1000}, {Label: "warm", WallMS: 10}, {Label: "edit-warm", WallMS: 20},
+	}}
+	if r := delta.Ratios(); r.WarmSpeedup != 100 || r.EditSpeedup != 50 || r.SpeedupAt4 != 0 {
+		t.Errorf("delta ratios wrong: %+v", r)
+	}
+	if r := (Bench{Rows: delta.Rows[1:]}).Ratios(); r.WarmSpeedup != 0 || r.EditSpeedup != 0 {
+		t.Errorf("ratios without a cold row: %+v", r)
+	}
+}
+
+// TestDeterministic: the worker-count-invariant counter set ignores the
+// scheduling diagnostics and times.
+func TestDeterministic(t *testing.T) {
+	a := Snapshot{SolveIterations: 1, TokensDelivered: 2, SolverEpochs: 3, SolverCrossShard: 4, SolverAsyncSweeps: 5}
+	b := a
+	b.SolverSteals, b.SolverScanMS, b.SolveWallMS = 99, 1, 2
+	if a.Deterministic() != b.Deterministic() {
+		t.Error("steals or times changed the deterministic counters")
+	}
+	b.SolverCrossShard++
+	if a.Deterministic() == b.Deterministic() {
+		t.Error("a cross-shard difference went unnoticed")
 	}
 }

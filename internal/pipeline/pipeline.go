@@ -12,7 +12,7 @@
 //     and its recall/precision comparison;
 //   - the per-project memo of the dynamic call graph;
 //   - fault aggregation across phases;
-//   - the phase wall-time and allocation records in perf.Global.
+//   - the counter record of the work it did (Outcome.Perf).
 //
 // The differential oracles of internal/fuzz call the stages directly: they
 // are the reference side of the checks this package is checked against.
@@ -79,6 +79,12 @@ type Outcome struct {
 	// pre-analysis faulted, sorted. Both are empty on a healthy run.
 	Faults          []fault.Record
 	DegradedModules []string
+
+	// Perf records the work this run did: the solver counters, the wall
+	// time of every phase it ran (the pre-analysis unless given, the
+	// solve unless Reused, the dynamic call graph only if this run built
+	// it), and the fault and degradation counts.
+	Perf perf.Snapshot
 }
 
 // Run executes the pipeline on a project.
@@ -90,6 +96,7 @@ func Run(project *modules.Project, cfg Config) (*Outcome, error) {
 			return nil, err
 		}
 		out.Approx = ar
+		out.Perf.AddPhase(perf.PhaseApprox, ar.Duration)
 	}
 	out.Faults = append(out.Faults, out.Approx.Faults...)
 
@@ -113,39 +120,40 @@ func Run(project *modules.Project, cfg Config) (*Outcome, error) {
 		return nil, fmt.Errorf("static: %w", err)
 	}
 	if !out.Reused {
-		perf.Global().AddPhase(perf.PhaseBaseline, out.Baseline.Duration)
-		perf.Global().AddPhaseAlloc(perf.PhaseBaseline, out.Baseline.AllocBytes)
-		perf.Global().AddPhase(perf.PhaseExtended, out.Extended.Duration)
-		perf.Global().AddPhaseAlloc(perf.PhaseExtended, out.Extended.AllocBytes)
+		out.Perf.Add(static.Snapshot(out.Baseline, out.Extended))
+		out.Perf.AddPhase(perf.PhaseBaseline, out.Baseline.Duration)
+		out.Perf.AddPhase(perf.PhaseExtended, out.Extended.Duration)
 	}
 	out.Faults = append(out.Faults, out.Extended.Faults...)
 	out.DegradedModules = out.Extended.DegradedModules
 
 	if cfg.WithDynCG {
-		dr, err := DynamicGraph(project, cfg.DynCG)
+		dr, built, err := DynamicGraph(project, cfg.DynCG)
 		if err != nil {
 			return nil, err
+		}
+		if built {
+			out.Perf.AddPhase(perf.PhaseDynCG, dr.Duration)
 		}
 		out.Dynamic = dr
 		out.BaselineAccuracy = callgraph.CompareWithDynamic(out.Baseline.Graph, dr.Graph)
 		out.ExtendedAccuracy = callgraph.CompareWithDynamic(out.Extended.Graph, dr.Graph)
 		out.Faults = append(out.Faults, dr.Faults...)
 	}
-	perf.Global().AddFaults(len(out.Faults), len(out.DegradedModules))
+	out.Perf.FaultsContained = int64(len(out.Faults))
+	out.Perf.ModulesDegraded = int64(len(out.DegradedModules))
 	return out, nil
 }
 
-// PreAnalyze runs only the first phase, approximate interpretation, with
-// its perf records. It serves callers that need a project's hints but
-// reuse an already-solved extended analysis.
+// PreAnalyze runs only the first phase, approximate interpretation. It
+// serves callers that need a project's hints but reuse an already-solved
+// extended analysis; they account its wall time (Result.Duration) to
+// perf.PhaseApprox themselves.
 func PreAnalyze(project *modules.Project, opts approx.Options) (*approx.Result, error) {
-	alloc0 := perf.TotalAllocBytes()
 	ar, err := approx.Run(project, opts)
 	if err != nil {
 		return nil, fmt.Errorf("approx: %w", err)
 	}
-	perf.Global().AddPhase(perf.PhaseApprox, ar.Duration)
-	perf.Global().AddPhaseAlloc(perf.PhaseApprox, perf.TotalAllocBytes()-alloc0)
 	return ar, nil
 }
 
@@ -165,22 +173,23 @@ type dynMemoKey struct{}
 var dynBuilds atomic.Int64
 
 // DynamicGraph returns the project's memoized dynamic call graph, building
-// it on first use. The options of the first caller for a project win; all
-// callers in one evaluation pass the same options, so this is only
-// observable when mixing configurations in one process.
-func DynamicGraph(project *modules.Project, opts dyncg.Options) (*dyncg.Result, error) {
+// it on first use; built reports whether this call did the build, so that
+// exactly one caller accounts its wall time. The options of the first
+// caller for a project win; all callers in one evaluation pass the same
+// options, so this is only observable when mixing configurations in one
+// process.
+func DynamicGraph(project *modules.Project, opts dyncg.Options) (*dyncg.Result, bool, error) {
+	built := false
 	ent := project.Memo(dynMemoKey{}, func() any {
 		dynBuilds.Add(1)
-		alloc0 := perf.TotalAllocBytes()
+		built = true
 		res, err := dyncg.Build(project, opts)
 		if err != nil {
 			return &dynEntry{nil, fmt.Errorf("dyncg: %w", err)}
 		}
-		perf.Global().AddPhase(perf.PhaseDynCG, res.Duration)
-		perf.Global().AddPhaseAlloc(perf.PhaseDynCG, perf.TotalAllocBytes()-alloc0)
 		return &dynEntry{res, nil}
 	}).(*dynEntry)
-	return ent.res, ent.err
+	return ent.res, built, ent.err
 }
 
 // DynamicBuilds reports how many dynamic call graphs have been built (memo

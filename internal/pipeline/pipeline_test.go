@@ -124,8 +124,8 @@ func TestDynamicGraphMemoizedPerProject(t *testing.T) {
 	sess := static.NewDeltaSession(b.Project)
 	path := b.Project.MainEntries[0]
 	sess.Update(map[string]string{path: b.Project.Files[path] + "\n"}, nil)
-	if _, err := DynamicGraph(b.Project, dyncg.Options{}); err != nil {
-		t.Fatal(err)
+	if _, built, err := DynamicGraph(b.Project, dyncg.Options{}); err != nil || !built {
+		t.Fatalf("after an edit: built=%t err=%v, want a rebuild", built, err)
 	}
 	if got := DynamicBuilds() - before; got != 2 {
 		t.Fatalf("dynamic call graph built %d times after an edit, want 2", got)

@@ -108,11 +108,6 @@ type Result struct {
 	// AnalyzedModules is the number of modules in the whole-program view.
 	AnalyzedModules int
 	Duration        time.Duration
-	// AllocBytes is the heap allocated while this analysis (or, for the
-	// incremental path, this phase of it) ran — a process-global
-	// runtime.MemStats TotalAlloc delta, so exact in single-threaded runs
-	// and approximate when other goroutines allocate concurrently.
-	AllocBytes int64
 	// Faults records contained failures of this phase (currently only
 	// unparsable project files, skipped instead of failing the run).
 	Faults []fault.Record
@@ -127,6 +122,40 @@ type Result struct {
 
 // Metrics computes the paper's §5 call-graph metrics for this result.
 func (r *Result) Metrics() callgraph.Metrics { return r.Graph.ComputeMetrics(r.MainEntries) }
+
+// Snapshot converts the solver counters of one analysis into a perf row.
+// For a standalone Analyze, base is nil and ext is its result. For an
+// AnalyzeBoth pair, ext's counters already cover both phases, and base
+// splits the effort into the baseline and resumed-delta shares.
+func Snapshot(base, ext *Result) perf.Snapshot {
+	s := perf.Snapshot{
+		SolveWallMS:          float64(ext.SolveWall) / 1e6,
+		SolveIterations:      ext.SolveIterations,
+		TokensDelivered:      ext.TokensDelivered,
+		CyclesCollapsed:      ext.Structure.CyclesCollapsed,
+		VarsUnified:          ext.Structure.VarsUnified,
+		CopiesSubstituted:    ext.Structure.CopiesSubstituted,
+		EdgesDeduped:         ext.Structure.EdgesDeduped,
+		RedundantSkipped:     ext.Structure.RedundantSkipped,
+		SweepVisited:         ext.Structure.SweepVisited,
+		SolverEpochs:         ext.Parallel.Epochs,
+		SolverSteals:         ext.Parallel.Steals,
+		SolverCrossShard:     ext.Parallel.CrossShard,
+		SolverAsyncSweeps:    ext.Parallel.AsyncSweeps,
+		SolverScanMS:         float64(ext.Parallel.ScanNS) / 1e6,
+		SolverApplyMS:        float64(ext.Parallel.ApplyNS) / 1e6,
+		SolverTailMS:         float64(ext.Parallel.TailNS) / 1e6,
+		SolverSweepOverlapMS: float64(ext.Parallel.SweepOverlapNS) / 1e6,
+	}
+	if base != nil {
+		s.SolveWallMS += float64(base.SolveWall) / 1e6
+		s.SolveIterationsBase = base.SolveIterations
+		s.TokensDeliveredBase = base.TokensDelivered
+		s.SolveIterationsDelta = ext.SolveIterations - base.SolveIterations
+		s.TokensDeliveredDelta = ext.TokensDelivered - base.TokensDelivered
+	}
+	return s
+}
 
 // ------------------------------------------------------------------- tokens
 
@@ -322,15 +351,6 @@ func newAnalyzer(project *modules.Project, opts Options) *analyzer {
 	return a
 }
 
-// recordParallelStats flushes the epoch engine's counters to the global
-// perf counters and returns them for the Result.
-func (a *analyzer) recordParallelStats() ParallelSolveStats {
-	ps := a.s.parallelStats()
-	perf.Global().AddSolverParallel(ps.Epochs, ps.Steals, ps.CrossShard, ps.AsyncSweeps,
-		ps.ScanNS, ps.ApplyNS, ps.TailNS, ps.SweepOverlapNS)
-	return ps
-}
-
 // generate parses the whole program and emits its base constraints: native
 // token setup, module collection, and per-module constraint generation in
 // deterministic (sorted-path) order. Generation is mode-independent — the
@@ -377,7 +397,6 @@ func Analyze(project *modules.Project, opts Options) (*Result, error) {
 		opts.Hints = opts.Hints.WithoutFiles(opts.DegradeFiles)
 	}
 	start := time.Now()
-	alloc0 := perf.TotalAllocBytes()
 	a := newAnalyzer(project, opts)
 	if err := a.generate(); err != nil {
 		return nil, err
@@ -405,11 +424,6 @@ func Analyze(project *modules.Project, opts Options) (*Result, error) {
 	solveWall := time.Since(solveStart)
 
 	iters, delivered := a.s.stats()
-	perf.Global().AddSolve(iters, delivered)
-	ss := a.s.structure()
-	perf.Global().AddSolveStructure(ss.CyclesCollapsed, ss.VarsUnified,
-		ss.CopiesSubstituted, ss.EdgesDeduped, ss.RedundantSkipped, ss.SweepVisited)
-	pstats := a.recordParallelStats()
 
 	res := &Result{
 		Graph:           a.cg,
@@ -418,12 +432,11 @@ func Analyze(project *modules.Project, opts Options) (*Result, error) {
 		NumTokens:       len(a.tokens),
 		SolveIterations: iters,
 		TokensDelivered: delivered,
-		Structure:       ss,
-		Parallel:        pstats,
+		Structure:       a.s.structure(),
+		Parallel:        a.s.parallelStats(),
 		SolveWall:       solveWall,
 		AnalyzedModules: len(a.progs),
 		Duration:        time.Since(start),
-		AllocBytes:      perf.TotalAllocBytes() - alloc0,
 		Faults:          a.faults,
 		DegradedModules: degradedList(opts.DegradeFiles),
 	}

@@ -37,7 +37,6 @@ import (
 	"sync"
 
 	"repro/internal/modules"
-	"repro/internal/perf"
 )
 
 // DeltaSession is a resident analysis session over one mutable project.
@@ -46,9 +45,6 @@ type DeltaSession struct {
 	mu      sync.Mutex
 	project *modules.Project
 
-	// fileKeys are the SourceKeys of the last analyzed file set, used to
-	// count how many modules an edit actually dirtied.
-	fileKeys map[string]string
 	// fp fingerprints every input of the last analysis; base/ext are its
 	// memoized results.
 	fp        string
@@ -89,9 +85,8 @@ func (s *DeltaSession) Update(changed map[string]string, removed []string) {
 // the session's current file set. When no analysis input changed since the
 // last call — file contents, options, hints — the memoized results are
 // returned with reused=true and zero solver work. Otherwise the project is
-// re-analyzed with a warm parse cache (only dirty files re-parse), the
-// number of dirtied modules is recorded in the perf counters, and the new
-// results are memoized.
+// re-analyzed with a warm parse cache (only dirty files re-parse) and the
+// new results are memoized.
 func (s *DeltaSession) Analyze(opts Options) (base, ext *Result, reused bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -101,51 +96,12 @@ func (s *DeltaSession) Analyze(opts Options) (base, ext *Result, reused bool, er
 		return s.base, s.ext, true, nil
 	}
 
-	keys := s.currentKeys()
-	perf.Global().AddDeltaModules(s.dirtyAgainst(keys))
-
 	base, ext, err = AnalyzeBoth(s.project, opts)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	s.base, s.ext, s.fp, s.fileKeys = base, ext, fp, keys
+	s.base, s.ext, s.fp = base, ext, fp
 	return base, ext, false, nil
-}
-
-// currentKeys returns the SourceKey of every file in the project. Callers
-// hold s.mu.
-func (s *DeltaSession) currentKeys() map[string]string {
-	keys := make(map[string]string, len(s.project.Files))
-	for path, src := range s.project.Files {
-		keys[path] = modules.SourceKey(path, src)
-	}
-	return keys
-}
-
-// dirtyAgainst counts the modules whose content differs from the last
-// analyzed file set: edited and added files, plus removed ones. Callers
-// hold s.mu.
-func (s *DeltaSession) dirtyAgainst(keys map[string]string) int {
-	dirty := 0
-	for path, k := range keys {
-		if s.fileKeys == nil || s.fileKeys[path] != k {
-			dirty++
-		}
-	}
-	for path := range s.fileKeys {
-		if _, ok := keys[path]; !ok {
-			dirty++
-		}
-	}
-	return dirty
-}
-
-// dirtyCount reports how many modules the pending edits have dirtied since
-// the last analysis.
-func (s *DeltaSession) dirtyCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dirtyAgainst(s.currentKeys())
 }
 
 // inputFingerprint hashes every input the analysis outcome depends on: the

@@ -125,22 +125,3 @@ func TestDeltaSessionOptionsInvalidate(t *testing.T) {
 		t.Errorf("SolverWorkers change broke reuse: reused=%t err=%v", reused, err)
 	}
 }
-
-func TestDeltaSessionDirtyCount(t *testing.T) {
-	s := NewDeltaSession(deltaProject())
-	opts := Options{Mode: WithHints, Hints: hints.New()}
-	if _, _, _, err := s.Analyze(opts); err != nil {
-		t.Fatal(err)
-	}
-	s.Update(map[string]string{"/app/index.js": "var lib = require('./lib');\n"}, nil)
-	if dirty := s.dirtyCount(); dirty != 1 {
-		t.Errorf("one-file edit dirtied %d modules, want 1", dirty)
-	}
-	if _, _, _, err := s.Analyze(opts); err != nil {
-		t.Fatal(err)
-	}
-	s.Update(map[string]string{"/app/new.js": "1;"}, []string{"/app/lib.js"})
-	if dirty := s.dirtyCount(); dirty != 2 {
-		t.Errorf("add+remove dirtied %d modules, want 2", dirty)
-	}
-}

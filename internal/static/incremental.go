@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/loc"
 	"repro/internal/modules"
-	"repro/internal/perf"
 )
 
 // AnalyzeBoth runs the baseline analysis and a hint-consuming analysis of
@@ -60,7 +59,6 @@ func AnalyzeBoth(project *modules.Project, opts Options) (baseline, extended *Re
 	// consult a.opts, so solving with baseline options up to the first
 	// fixpoint reproduces the standalone baseline analysis bit for bit.
 	start := time.Now()
-	alloc0 := perf.TotalAllocBytes()
 	a := newAnalyzer(project, Options{Mode: Baseline, SolverWorkers: opts.SolverWorkers,
 		Provenance: opts.Provenance, reference: opts.reference})
 	if err := a.generate(); err != nil {
@@ -95,13 +93,11 @@ func AnalyzeBoth(project *modules.Project, opts Options) (baseline, extended *Re
 		SolveWall:       baseSolveWall,
 		AnalyzedModules: len(a.progs),
 		Duration:        time.Since(start),
-		AllocBytes:      perf.TotalAllocBytes() - alloc0,
 		Faults:          a.faults,
 	}
 
 	// Phase 2 — switch to the extended options and inject the deltas.
 	deltaStart := time.Now()
-	deltaAlloc0 := perf.TotalAllocBytes()
 	a.opts = opts
 	if opts.EvalHints {
 		a.genEvalHints()
@@ -116,8 +112,6 @@ func AnalyzeBoth(project *modules.Project, opts Options) (baseline, extended *Re
 	deltaSolveWall := time.Since(deltaSolveStart)
 
 	iters, delivered := a.s.stats()
-	perf.Global().AddIncrementalSolve(cp.iterations, cp.tokensDelivered,
-		iters-cp.iterations, delivered-cp.tokensDelivered)
 
 	extended = &Result{
 		Graph:           a.cg,
@@ -131,19 +125,12 @@ func AnalyzeBoth(project *modules.Project, opts Options) (baseline, extended *Re
 		SolveWall:       deltaSolveWall,
 		AnalyzedModules: len(a.progs),
 		Duration:        time.Since(deltaStart),
-		AllocBytes:      perf.TotalAllocBytes() - deltaAlloc0,
 		Faults:          a.faults,
 		DegradedModules: degradedList(opts.DegradeFiles),
 	}
 	if a.s.prov != nil {
 		extended.Provenance = newProvenance(a)
 	}
-
-	perf.Global().AddSolve(iters, delivered)
-	ss := extended.Structure
-	perf.Global().AddSolveStructure(ss.CyclesCollapsed, ss.VarsUnified,
-		ss.CopiesSubstituted, ss.EdgesDeduped, ss.RedundantSkipped, ss.SweepVisited)
-	a.recordParallelStats()
 	return baseline, extended, nil
 }
 

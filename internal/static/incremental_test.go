@@ -171,6 +171,44 @@ func TestAnalyzeBothMotivating(t *testing.T) {
 	}
 }
 
+// TestSnapshotIncrementalSplit: an AnalyzeBoth pair converts into one row
+// whose totals are the extended result's cumulative counters, split into
+// the share of the baseline fixpoint — what a standalone baseline Analyze
+// costs — and the share of the resumed delta. A standalone analysis has
+// no split.
+func TestSnapshotIncrementalSplit(t *testing.T) {
+	project := motivating()
+	ar, err := approx.Run(project, approx.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, ext, err := AnalyzeBoth(project, Options{Mode: WithHints, Hints: ar.Hints})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := Analyze(project, Options{Mode: Baseline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Snapshot(base, ext)
+	if s.SolveIterations != ext.SolveIterations || s.TokensDelivered != ext.TokensDelivered ||
+		s.SweepVisited != ext.Structure.SweepVisited || s.SolverEpochs != ext.Parallel.Epochs {
+		t.Errorf("pair totals %+v differ from the extended result's counters", s)
+	}
+	if s.SolveIterationsBase != alone.SolveIterations || s.TokensDeliveredBase != alone.TokensDelivered {
+		t.Errorf("baseline share %d/%d, want the standalone baseline's %d/%d",
+			s.SolveIterationsBase, s.TokensDeliveredBase, alone.SolveIterations, alone.TokensDelivered)
+	}
+	if s.SolveIterationsBase+s.SolveIterationsDelta != s.SolveIterations ||
+		s.TokensDeliveredBase+s.TokensDeliveredDelta != s.TokensDelivered || s.TokensDeliveredDelta <= 0 {
+		t.Errorf("split %+v does not add up to the totals", s)
+	}
+	if one := Snapshot(nil, alone); one.SolveIterations != alone.SolveIterations ||
+		one.SolveIterationsBase+one.SolveIterationsDelta+one.TokensDeliveredBase+one.TokensDeliveredDelta != 0 {
+		t.Errorf("standalone row %+v", one)
+	}
+}
+
 // TestAnalyzeBothRejectsBaseline pins the API contract.
 func TestAnalyzeBothRejectsBaseline(t *testing.T) {
 	if _, _, err := AnalyzeBoth(motivating(), Options{Mode: Baseline}); err == nil {

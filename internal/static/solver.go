@@ -164,7 +164,7 @@ type solver struct {
 	// Reusable pathBetween scratch (see lcdPathScratch).
 	lcdPath lcdPathScratch
 
-	// perf counters: fixpoint iterations (queue pops) and tokens delivered
+	// Effort counters: fixpoint iterations (queue pops) and tokens delivered
 	// (insertion attempts on the hot path, i.e. addToken calls).
 	iterations      int64
 	tokensDelivered int64
